@@ -311,7 +311,8 @@ def _tail_integral(mu: complex, n: int, R: float, log_r: complex) -> complex:
     return -(R ** mu) / mu * total
 
 
-def _prefactor(s: complex, psi: float) -> complex:
+def ray_prefactor(s: complex, psi: float) -> complex:
+    """e^{is(pi - psi)} sin(pi s) / pi, the weight of the ray integral."""
     return cmath.exp(1j * s * (math.pi - psi)) * cmath.sin(math.pi * s) / math.pi
 
 
@@ -331,7 +332,7 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
             f"Re s = {s.real} is left of the proven strip edge "
             f"{asym.strip_left_edge():.3f}")
     lr = complex(math.log(R), asym.psi)
-    pref = _prefactor(s, asym.psi)
+    pref = ray_prefactor(s, asym.psi)
     total = 0.0 + 0.0j
     for j in sorted({jk[0] for jk in asym.d}):
         x0 = asym.location(j)

@@ -15,14 +15,15 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
-from .kernels import (EULER_GAMMA, bernoulli_number, digamma_polygamma,
-                      gamma)
-from .quadrature import euler_maclaurin_tail, quad_adaptive
+from .kernels import (EULER_GAMMA, bernoulli_number, digamma,
+                      digamma_polygamma, gamma)
+from .quadrature import euler_maclaurin_tail
 from .series import PowerSeries, series_exp
 
 RIEMANN_PSI = 3.0 * math.pi / 4.0
@@ -62,15 +63,21 @@ class ZeroSequence:
 
 @dataclass(frozen=True)
 class CatalogModel:
-    """A sequence model: series + asymptotics + evaluator (+ zeros)."""
+    """A sequence model: series + asymptotics + evaluator (+ zeros).
+
+    ``log_deriv`` maps a complex array of any shape (0-d included) to the
+    array of F'/F values of the same shape; it is the quadrature hot path.
+    ``eval`` is scalar: one point z -> the pair (F(z), F'(z)) of Python
+    complex numbers, within the domain each builder states.
+    """
 
     name: str
     params: dict
     series: PowerSeries
     asym: AsymExpansion
     zeros: ZeroSequence | None = None
-    eval: object = None          # z -> (F(z), F'(z)); stated domain per model
-    log_deriv: object = None     # vectorized: array z -> F'(z)/F(z)
+    eval: object = None          # scalar z -> (F(z), F'(z))
+    log_deriv: object = None     # any-shape array z -> F'(z)/F(z), same shape
     first_zero_modulus: float | None = None
     closed_forms: dict = field(default_factory=dict)
     notes: tuple = ()
@@ -78,6 +85,70 @@ class CatalogModel:
     @property
     def alpha(self) -> float:
         return self.asym.alpha
+
+
+# ---------------------------------------------------------------------------
+# Array evaluators.  Airy, PCF and CHF each have one function ``parts`` that
+# maps a 1-d complex array z to (lg, f, fp) with F = e^lg f and F' = e^lg fp.
+# The scale e^lg carries the exponential growth, so log_deriv = fp / f stays
+# finite where F overflows, and eval rescales a single point.
+
+def _log_deriv(parts, z):
+    z = np.asarray(z, dtype=complex)
+    if z.size == 0:
+        return z.copy()
+    _, f, fp = parts(z.reshape(-1))
+    return (fp / f).reshape(z.shape)
+
+
+def _eval(parts, z):
+    lg, f, fp = parts(np.array([complex(z)]))
+    scale = cmath.exp(complex(lg[0]))
+    return scale * complex(f[0]), scale * complex(fp[0])
+
+
+def _piecewise(z, branches):
+    """(lg, f, fp) from (mask, parts) branches whose masks partition z."""
+    for mask, parts in branches:
+        if mask.all():
+            return parts(z)
+    out = np.empty((3, z.size), dtype=complex)
+    for mask, parts in branches:
+        if mask.any():
+            out[:, mask] = parts(z[mask])
+    return out
+
+
+def _log_abs(c) -> np.ndarray:
+    """log|c_j|, -inf where c_j = 0."""
+    return np.array([math.log(abs(x)) if x else -math.inf for x in c])
+
+
+def _powers(x, n):
+    """Rows 1, x, ..., x^(n-1), one per point x."""
+    p = np.empty((x.size, n), dtype=complex)
+    p[:, 0] = 1.0
+    p[:, 1:] = x[:, None]
+    return np.cumprod(p, axis=1)
+
+
+def _taylor_parts(c, log_c, z):
+    """(0, f, f') for f = sum_j c_j z^j, summed up to where the terms at max|z|
+    fall below 1e-18 of the largest."""
+    j = np.arange(len(c))
+    mags = log_c + j * math.log(max(float(np.abs(z).max()), 1e-300))
+    n = min(int(np.flatnonzero(mags > mags.max() - 41.0)[-1]) + 2, len(c))
+    p = _powers(z, n)
+    return np.zeros_like(z), (p * c[:n]).sum(1), (p[:, :-1] * (j[1:n] * c[1:n])).sum(1)
+
+
+def _poincare_terms(c, x):
+    """Terms c[i, k] x^k of the series in the rows of c, shape (points, rows, k);
+    each series is zeroed from its first term larger than the one before."""
+    t = _powers(x, c.shape[1])[:, None, :] * c
+    a = np.abs(t)
+    t[..., 1:] *= np.minimum.accumulate(a[..., 1:] <= a[..., :-1], axis=2)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +215,7 @@ def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
     asym = _riemann_asym(depth, RIEMANN_PSI)
 
     def log_deriv(z):
-        z = np.asarray(z, dtype=complex)
-        return np.vectorize(lambda w: digamma_polygamma(0, 1.0 - w))(z)
+        return digamma(1.0 - np.asarray(z, dtype=complex))
 
     def eval_fn(z):
         return _recip_gamma_pair(1.0, z)
@@ -196,8 +266,7 @@ def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
     series = _hurwitz_series(a, order)
 
     def log_deriv(z):
-        z = np.asarray(z, dtype=complex)
-        return np.vectorize(lambda w: digamma_polygamma(0, a - w))(z)
+        return digamma(a - np.asarray(z, dtype=complex))
 
     def eval_fn(z):
         return _recip_gamma_pair(a, z)
@@ -235,6 +304,7 @@ def _airy_taylor_coeffs() -> np.ndarray:
 
 
 _AIRY_C = _airy_taylor_coeffs()
+_AIRY_LOG_C = _log_abs(_AIRY_C)
 
 _AIRY_NU = 72
 _AIRY_U = [1.0]
@@ -243,124 +313,46 @@ for _k in range(1, _AIRY_NU):
     _AIRY_U.append(_AIRY_U[-1] * (6 * _k - 5) * (6 * _k - 3) * (6 * _k - 1)
                    / (216.0 * _k * (2 * _k - 1)))
     _AIRY_V.append(_AIRY_U[-1] * (6 * _k + 1) / (1.0 - 6 * _k))
+_AIRY_UV = np.array([_AIRY_U, _AIRY_V])
 
 
-def _airy_taylor_pair(z: complex):
-    """(Ai(-z), d/dz Ai(-z)) by compensated Taylor summation, |z| <~ 28."""
-    f = 0.0 + 0.0j
-    fc = 0.0 + 0.0j
-    fp = 0.0 + 0.0j
-    fpc = 0.0 + 0.0j
-    p = 1.0 + 0.0j
-    az = abs(z)
-    peak = 1.0
-    small_run = 0
-    for j in range(_AIRY_NC):
-        term = _AIRY_C[j] * p
-        peak = max(peak, abs(term))
-        # c_{3k+2} = 0: demand several consecutive negligible terms to stop
-        small_run = small_run + 1 if abs(term) < 1e-19 * peak else 0
-        t = f + term
-        if abs(f) >= abs(term):
-            fc += (f - t) + term
-        else:
-            fc += (term - t) + f
-        f = t
-        if j >= 1:
-            termp = j * _AIRY_C[j] * pprev
-            tp = fp + termp
-            if abs(fp) >= abs(termp):
-                fpc += (fp - tp) + termp
-            else:
-                fpc += (termp - tp) + fp
-            fp = tp
-        pprev = p
-        p *= z
-        if j > 1.5 * az + 8 and small_run >= 3:
-            break
-    return f + fc, fp + fpc
+def _airy_asym_parts(z):
+    """(lg, f, f') for F(z) = Ai(-z) by the two-exponential expansion.
 
-
-def _poincare(coeffs, iz: complex) -> complex:
-    tot = 0.0 + 0.0j
-    p = 1.0 + 0.0j
-    last = math.inf
-    for cm in coeffs:
-        term = cm * p
-        a = abs(term)
-        if a > last:
-            break
-        tot += term
-        last = a
-        p *= iz
-    return tot
-
-
-def _airy_asym_pair(z: complex):
-    """(Ai(-z), d/dz Ai(-z)) via the two-exponential expansion.
-
-    Valid for |arg z| <= 1.9; overflows (as the function itself does) once
-    |Im zeta| is past ~700.
+    Valid for |arg z| <= 1.9.  e^lg is the dominant exponential; the other
+    enters through the ratio r, |r| <= 1, and each Poincare sum stops at
+    its smallest term.
     """
-    zeta = (2.0 / 3.0) * z ** 1.5
-    w = zeta - math.pi / 4.0
+    root = np.sqrt(z)
+    zeta = (2.0 / 3.0) * z * root
+    sg = np.where(zeta.imag >= 0.0, 1.0, -1.0)
+    w = sg * (zeta - math.pi / 4.0)
+    r = np.exp(2j * w)
+    t = _poincare_terms(_AIRY_UV, 1j * sg / zeta)
+    # the subdominant series is the dominant one at -x: even terms minus odd
+    even, odd = t[..., ::2].sum(2), t[..., 1::2].sum(2)
+    dom, sub = even + odd, even - odd
+    quarter = np.sqrt(root)
     sq = 0.5 / math.sqrt(math.pi)
-    zm = z ** -0.25
-    zp = z ** 0.25
-    ai = 0.0 + 0.0j
-    aip = 0.0 + 0.0j
-    if zeta.imag > -700.0:
-        em = cmath.exp(1j * w)
-        sm = _poincare(_AIRY_U, -1j / zeta)
-        tm = _poincare(_AIRY_V, -1j / zeta)
-        ai += sq * zm * em * sm
-        aip += -1j * sq * zp * em * tm
-    if zeta.imag < 700.0:
-        ep = cmath.exp(-1j * w)
-        sp = _poincare(_AIRY_U, 1j / zeta)
-        tp = _poincare(_AIRY_V, 1j / zeta)
-        ai += sq * zm * ep * sp
-        aip += 1j * sq * zp * ep * tp
-    # F(z) = Ai(-z) so F' = -Ai'(-z) = -aip with aip built as Ai'(-z)
-    return ai, -aip
+    # F' = -Ai'(-z)
+    return (-1j * w, sq * (dom[:, 0] + r * sub[:, 0]) / quarter,
+            -1j * sq * sg * quarter * (dom[:, 1] - r * sub[:, 1]))
 
 
-def _airy_switch_radius(z: complex) -> float:
-    return 6.5 if abs(cmath.phase(z)) <= 0.25 else 11.0
+def _airy_parts(z):
+    """(lg, f, f') for F(z) = Ai(-z): the Taylor series inside the switch
+    radius (6.5 for |arg z| <= 0.25, else 11), the expansion outside it."""
+    near = np.abs(z) <= np.where(np.abs(z.imag) <= math.tan(0.25) * z.real, 6.5, 11.0)
+    return _piecewise(z, ((near, partial(_taylor_parts, _AIRY_C, _AIRY_LOG_C)),
+                          (~near, _airy_asym_parts)))
 
 
 def airy_eval(z):
     """(F, F') for F(z) = Ai(-z); domain |arg z| <= 1.9 or |z| <= 11."""
-    z = complex(z)
-    if abs(z) <= _airy_switch_radius(z):
-        return _airy_taylor_pair(z)
-    return _airy_asym_pair(z)
+    return _eval(_airy_parts, z)
 
 
-def _airy_log_deriv_scalar(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) <= _airy_switch_radius(z):
-        f, fp = _airy_taylor_pair(z)
-        return fp / f
-    zeta = (2.0 / 3.0) * z ** 1.5
-    sm = _poincare(_AIRY_U, -1j / zeta)
-    tm = _poincare(_AIRY_V, -1j / zeta)
-    sp = _poincare(_AIRY_U, 1j / zeta)
-    tp = _poincare(_AIRY_V, 1j / zeta)
-    if zeta.imag >= 0.0:
-        r = cmath.exp(2j * (zeta - math.pi / 4.0)) if zeta.imag < 600.0 else 0.0
-        num = tp - r * tm
-        den = sp + r * sm
-    else:
-        r = cmath.exp(-2j * (zeta - math.pi / 4.0)) if zeta.imag > -600.0 else 0.0
-        num = -tm + r * tp
-        den = sm + r * sp
-    return -1j * cmath.sqrt(z) * num / den
-
-
-def airy_log_deriv(z):
-    z = np.asarray(z, dtype=complex)
-    return np.vectorize(_airy_log_deriv_scalar)(z)
+airy_log_deriv = partial(_log_deriv, _airy_parts)
 
 
 def airy_zero_seed(n: int) -> float:
@@ -463,13 +455,47 @@ def _pcf_tail_coeffs(a: float, depth: int) -> list:
             for n in range(1, depth + 1)]
 
 
+def _jacobi(n: int, beta: float, x):
+    """(P_n, P_n') of the Jacobi polynomial P_n^(0, beta) at the points x."""
+    p0, p1 = np.ones_like(x), 0.5 * ((beta + 2.0) * x - beta)
+    for j in range(2, n + 1):
+        c = 2 * j + beta
+        p0, p1 = p1, ((c - 1) * (c * (c - 2) * x - beta * beta) * p1
+                      - 2 * (j - 1) * (j + beta - 1) * c * p0) / (2 * j * (j + beta) * (c - 2))
+    dp = n * (2 * (n + beta) * p0 - (beta + (2 * n + beta) * x) * p1)
+    return p1, dp / ((2 * n + beta) * (1.0 - x) * (1.0 + x))
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(n: int, beta: float):
+    """n-point Gauss rule on [0, 1] for the weight y^beta, -1 < beta < 1.
+
+    Newton on the Jacobi recurrence from the Szego node estimates, so no
+    eigenvalue solver is needed.  Returns (nodes, weights).
+    """
+    x = np.cos((np.arange(1, n + 1) - 0.25) * math.pi / (n + 0.5 * beta + 0.5))
+    for _ in range(30):
+        p, dp = _jacobi(n, beta, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    _, dp = _jacobi(n, beta, x)
+    rule = 0.5 * (1.0 + x), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    for v in rule:
+        v.flags.writeable = False       # shared by every caller through the cache
+    return rule
+
+
 def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     """Model for the zeros of the parabolic cylinder function U(a, z), a > -1/2.
 
     The zeros are complex-conjugate pairs; no zero generator is provided and
     the model supports coefficient-side values only.  Pointwise evaluation
-    uses the Taylor series for |z| <= 3, the (cancellation-free) Laplace
-    integral for moderate |z|, and the large-argument expansion beyond.
+    uses the Taylor series for |z| <= 3, the Laplace integral by one fixed
+    Gauss-Jacobi rule for 3 < |z| < 12 (1e-12 or better for |arg z| <= 1.6;
+    cancellation grows past that), and the large-argument expansion beyond
+    (|arg z| < 2.3).
     """
     a = float(a)
     if a <= -0.5:
@@ -483,86 +509,44 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     c0 = complex(full[0])
     asym = AsymExpansion(alpha=2.0, m=1, M=1, N=2 * depth + 2, d=d,
                          psi=0.0, ln_f0=cmath.log(c0))
-    tail = _pcf_tail_coeffs(a, depth + 10)
-    dfull = full[1:] * np.arange(1, len(full))
+    tail = np.array(_pcf_tail_coeffs(a, depth + 10))
+    # t^(a-1/2) = t^m t^beta: the Gauss-Jacobi weight takes the non-integer part
+    m = max(math.floor(a - 0.5), 0)
+    beta = a - 0.5 - m
+    lg0 = math.lgamma(a + 0.5)
 
-    def taylor_pair(z):
-        return (complex(np.polyval(full[::-1], z)),
-                complex(np.polyval(dfull[::-1], z)))
+    def laplace(z):
+        # U = e^{-z^2/4}/Gamma(a+1/2) * I_0,  I_p = int_0^T t^{a-1/2+p} e^{-t^2/2-zt} dt,
+        # T past the e^-40 point of the integrand; one rule on [0, 1] scaled by T
+        y, wts = _gauss_jacobi(80, beta)
+        big_t = np.sqrt(z.real * z.real + 80.0) - z.real
+        t = big_t[:, None] * y
+        e = np.exp(-0.5 * t * t - z[:, None] * t)
+        if m:
+            e *= t ** m
+        i0 = (e * wts).sum(1)
+        lg = -0.25 * z * z - lg0 + (beta + 1.0) * np.log(big_t)
+        return lg, i0, -0.5 * z * i0 - (e * t * wts).sum(1)
 
-    def laplace_pair(z):
-        # U = e^{-z^2/4}/Gamma(a+1/2) * I_0,  I_p = int t^{a-1/2+p} e^{-t^2/2-zt} dt
-        # with t = u^2 so the endpoint power is smooth for a >= 0
-        x0 = max(0.0, -z.real)
-        t_up = x0 + math.sqrt(x0 * x0 + 130.0)
-        u_up = math.sqrt(t_up)
-
-        def integrand(u, p):
-            u = np.asarray(u, dtype=float)
-            t = u * u
-            return 2.0 * u ** (2.0 * a + 2 * p) * np.exp(-0.5 * t * t - z * t)
-
-        i0 = quad_adaptive(lambda u: integrand(u, 0), 0.0, u_up, abs_tol=1e-13)
-        i1 = quad_adaptive(lambda u: integrand(u, 1), 0.0, u_up, abs_tol=1e-13)
-        pref = cmath.exp(-z * z / 4.0) / gamma(a + 0.5)
-        f = pref * i0
-        fp = -0.5 * z * f - pref * i1
-        return f, fp
-
-    def asym_pair(z):
-        den = 1.0 + 0.0j
-        num = 0.0 + 0.0j
-        p = 1.0 + 0.0j
-        last = math.inf
-        for n, cn in enumerate(tail, start=1):
-            p /= z * z
-            term = cn * p
-            if abs(term) > last:
-                break
-            den += term
-            num += -2.0 * n * term / z
-            last = abs(term)
-        f = cmath.exp(-z * z / 4.0) * z ** (-a - 0.5) * den
-        ld = -0.5 * z - (a + 0.5) / z + num / den
-        return f, f * ld
-
-    def eval_fn(z):
-        z = complex(z)
-        az = abs(z)
-        if az <= 3.0:
-            return taylor_pair(z)
-        if az < 12.0:
-            return laplace_pair(z)
-        if abs(cmath.phase(z)) >= 2.3:
+    def large(z):
+        if np.any(z.real <= math.cos(2.3) * np.abs(z)):           # |arg z| >= 2.3
             raise DomainError("pcf evaluator domain is |arg z| < 3pi/4 for |z| >= 12")
-        return asym_pair(z)
+        x = 1.0 / (z * z)
+        t = x[:, None] * _poincare_terms(tail[None], x)[:, 0]
+        den = 1.0 + t.sum(1)
+        num = -2.0 / z * (t * np.arange(1.0, len(tail) + 1.0)).sum(1)
+        lg = -0.25 * z * z - (a + 0.5) * np.log(z)
+        return lg, den, den * (-0.5 * z - (a + 0.5) / z) + num
 
-    def log_deriv_scalar(z):
-        z = complex(z)
-        az = abs(z)
-        if az <= 3.0:
-            f, fp = taylor_pair(z)
-            return fp / f
-        if az < 12.0:
-            f, fp = laplace_pair(z)
-            return fp / f
-        den = 1.0 + 0.0j
-        num = 0.0 + 0.0j
-        p = 1.0 + 0.0j
-        last = math.inf
-        for n, cn in enumerate(tail, start=1):
-            p /= z * z
-            term = cn * p
-            if abs(term) > last:
-                break
-            den += term
-            num += -2.0 * n * term / z
-            last = abs(term)
-        return -0.5 * z - (a + 0.5) / z + num / den
+    taylor = partial(_taylor_parts, full, _log_abs(full))
 
-    def log_deriv(z):
-        return np.vectorize(log_deriv_scalar)(np.asarray(z, dtype=complex))
+    def parts(z):
+        r = np.abs(z)
+        return _piecewise(z, ((r <= 3.0, taylor),
+                              ((r > 3.0) & (r < 12.0), laplace), (r >= 12.0, large)))
 
+    eval_fn = partial(_eval, parts)
+    log_deriv = partial(_log_deriv, parts)
     return CatalogModel("pcf", {"a": a}, series, asym, None, eval_fn,
                         log_deriv, None, {0: "-a - 1/2"},
                         ("zeros are complex-conjugate pairs; zero generator not provided",))
@@ -573,30 +557,6 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
 
 def _is_nonpos_int(w: complex) -> bool:
     return w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real)
-
-
-def _kummer_series(a: complex, b: complex, z: complex, n_max: int):
-    """(M(a,b,z), dM/dz) by direct summation with recursive term updates.
-
-    The explicit c_n z^n form would overflow near |z| ~ 200 even though the
-    terms themselves stay bounded by the series peak.
-    """
-    if z == 0:
-        return 1.0 + 0.0j, a / b
-    f0 = 1.0 + 0.0j
-    f1 = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    peak = 1.0
-    small_run = 0
-    for n in range(n_max):
-        term *= z * (a + n) / ((b + n) * (n + 1.0))
-        f0 += term
-        f1 += (n + 1.0) * term / z
-        peak = max(peak, abs(term))
-        small_run = small_run + 1 if abs(term) < 1e-18 * peak else 0
-        if small_run >= 3 and n > 1.2 * abs(z):
-            break
-    return f0, f1
 
 
 def chf_model(a, b, depth: int = 8, order: int = 30) -> CatalogModel:
@@ -616,10 +576,12 @@ def chf_model(a, b, depth: int = 8, order: int = 30) -> CatalogModel:
         if _is_nonpos_int(w):
             raise DomainError(f"excluded parameter: {nm} is a nonpositive integer")
     n_eval = max(order, 400)
-    c = np.zeros(n_eval + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(n_eval):
-        c[n + 1] = c[n] * (a + n) / ((b + n) * (n + 1.0))
+    k = np.arange(n_eval)
+    rho = (a + k) / ((b + k) * (k + 1.0))            # c_{k+1} / c_k
+    rho_kummer = (b - a + k) / ((b + k) * (k + 1.0))
+    c = np.concatenate(([1.0 + 0.0j], np.cumprod(rho)))
+    log_c = np.maximum(np.cumsum(np.log(np.abs(rho))),
+                       np.cumsum(np.log(np.abs(rho_kummer))))
     series = PowerSeries(c[:order + 1])
     c_tail = []
     t = 1.0 + 0.0j
@@ -634,23 +596,28 @@ def chf_model(a, b, depth: int = 8, order: int = 30) -> CatalogModel:
     asym = AsymExpansion(alpha=1.0, m=1, M=1, N=depth + 1, d=d,
                          psi=0.0, ln_f0=0.0)
 
-    def eval_fn(z):
-        # accurate near the real axis (Kummer transform handles Re z < 0);
-        # imaginary-direction cancellation grows like e^{|Im z|}
-        z = complex(z)
-        if abs(z) > 250.0:
+    def parts(z):
+        # accurate near the real axis (Kummer's transform M(a, b, z) =
+        # e^z M(b-a, b, -z) where Re z < 0); imaginary-direction cancellation
+        # grows like e^{|Im z|}.  The terms come from running products: the
+        # explicit c_k w^k would overflow near |w| ~ 200 although the terms
+        # stay bounded by the series peak.
+        if np.abs(z).max() > 250.0:
             raise DomainError("chf evaluator domain is |z| <= 250")
-        if z.real < 0.0:
-            ez = cmath.exp(z)
-            g0, g1 = _kummer_series(b - a, b, -z, n_eval)
-            return ez * g0, ez * (g0 - g1)
-        return _kummer_series(a, b, z, n_eval)
+        neg = z.real < 0.0
+        w = np.where(neg, -z, z)
+        lr = math.log(max(float(np.abs(w).max()), 1e-300))
+        mags = np.append(0.0, log_c + (k + 1.0) * lr)  # log|c_k w^k| bound, k = 0..n_eval
+        n = min(int(np.flatnonzero(mags > mags.max() - 41.0)[-1]) + 1, n_eval)
+        q = np.where(neg[:, None], rho_kummer[:n], rho[:n])
+        q[:, 1:] *= w[:, None]
+        q = np.cumprod(q, axis=1)                     # c_{k+1} w^k
+        g0 = 1.0 + w * q.sum(1)
+        g1 = (q * (k[:n] + 1.0)).sum(1)
+        return np.where(neg, z, 0.0), g0, np.where(neg, g0 - g1, g1)
 
-    def log_deriv(z):
-        def scalar(w):
-            v, vp = eval_fn(w)
-            return vp / v
-        return np.vectorize(scalar)(np.asarray(z, dtype=complex))
+    eval_fn = partial(_eval, parts)
+    log_deriv = partial(_log_deriv, parts)
 
     notes = ("ln F(0) fixed to the k = 0 branch (continued value is 2*pi*i*k)",
              "branch ray psi = 0; no computed zeros to check ray clearance against")

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .asym import l_asy_eval, classify_poles, ray_tail_derivative
+from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
 from .errors import (AccuracyError, ConditioningWarning, DomainError,
                      PoleError, SlowConvergenceError, StripError)
@@ -135,7 +135,7 @@ def contour_zeta(model: CatalogModel, s, R: float | None = None,
     R = _default_radius(model, R)
     psi = asym.psi
     total = _circle_term(model, s, R, tol)
-    pref = cmath.exp(1j * s * (math.pi - psi)) * cmath.sin(math.pi * s) / math.pi
+    pref = ray_prefactor(s, psi)
     if not _is_exact_integer(s):
         eipsi = cmath.exp(1j * psi)
 
@@ -185,7 +185,7 @@ def continued_zeta(model: CatalogModel, s, R: float | None = None,
     psi = asym.psi
     total = _circle_term(model, s, R, tol)
     total += l_asy_eval(asym, s, R)
-    pref = cmath.exp(1j * s * (math.pi - psi)) * cmath.sin(math.pi * s) / math.pi
+    pref = ray_prefactor(s, psi)
     if not _is_exact_integer(s):
         eipsi = cmath.exp(1j * psi)
 

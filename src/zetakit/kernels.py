@@ -1,8 +1,9 @@
-"""Complex double-precision scalar kernels.
+"""Complex double-precision kernels.
 
-Gamma-family functions, Bernoulli numbers and polynomials, Stirling numbers
-of the first kind, generalized binomial coefficients, and the branched
-logarithm used for sequence powers.  All functions are pure and stateless.
+Gamma-family functions (scalar, plus an array digamma), Bernoulli numbers
+and polynomials, Stirling numbers of the first kind, generalized binomial
+coefficients, and the branched logarithm used for sequence powers.  All
+functions are pure and stateless.
 """
 
 import cmath
@@ -71,14 +72,6 @@ def gamma(z) -> complex:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
     return cmath.exp(_lanczos_log_gamma(z))
-
-
-def log_gamma(z) -> complex:
-    """Principal-branch ln Gamma(z) for Re(z) > 0."""
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError("log_gamma requires Re(z) > 0; use gamma + branch bookkeeping")
-    return _lanczos_log_gamma(z)
 
 
 # Asymptotic tail of psi^(k); B_{2j} coefficients are attached below once the
@@ -156,6 +149,7 @@ def _bernoulli_fraction(n: int) -> Fraction:
     return -total / (n + 1)
 
 
+@lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> float:
     """Bernoulli number B_n (B_1 = -1/2 convention), exact rationals inside."""
     if n < 0:
@@ -163,6 +157,35 @@ def bernoulli_number(n: int) -> float:
     if n > 60:
         raise UnsupportedOrderError("Bernoulli numbers supported for n <= 60")
     return float(_bernoulli_fraction(n))
+
+
+# B_{2j} / (2j), j = 9 down to 1 for Horner: the digamma tail below is
+# summed to 1e-18 for |w| >= 10
+_DIGAMMA_TAIL = [float(_bernoulli_fraction(2 * j)) / (2 * j) for j in range(9, 0, -1)]
+
+
+def digamma(w) -> np.ndarray:
+    """psi(w) on a complex array of any shape.
+
+    Reflection psi(w) = psi(1 - w) - pi cot(pi w) where Re w < 1/2, a
+    common recurrence shift to Re w >= 10, then the Bernoulli tail.
+    """
+    w = np.asarray(w, dtype=complex)
+    refl = w.real < 0.5
+    x = np.where(refl, 1.0 - w, w)
+    val = np.zeros_like(x)
+    n = math.ceil(10.0 - x.real.min()) if x.size else 0
+    if n > 0:
+        val -= (1.0 / (x[..., None] + np.arange(n))).sum(-1)
+        x = x + n
+    u = 1.0 / (x * x)
+    tail = 0.0
+    for c in _DIGAMMA_TAIL:
+        tail = (tail + c) * u
+    val += np.log(x) - 0.5 / x - tail
+    if refl.any():
+        val[refl] -= math.pi / np.tan(math.pi * w[refl])
+    return val
 
 
 def bernoulli_poly(n: int, a) -> complex:
@@ -240,21 +263,6 @@ def log_psi(z, psi: float) -> complex:
     while theta <= psi - TWO_PI:
         theta += TWO_PI
     return complex(math.log(abs(z)), theta)
-
-
-def neumaier_sum(values) -> complex:
-    """Compensated (Neumaier) summation of an iterable of complex values."""
-    s = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        v = complex(v)
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-    return s + comp
 
 
 def fsum_complex(values) -> complex:

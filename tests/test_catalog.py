@@ -96,7 +96,18 @@ class TestAiryModel:
         assert worst < 5e-9
 
     def test_seam_cross_agreement(self, airy):
-        from zetakit.catalog import _airy_taylor_pair, _airy_asym_pair
+        from zetakit.catalog import (_AIRY_C, _AIRY_LOG_C, _airy_asym_parts,
+                                     _taylor_parts)
+
+        def _airy_taylor_pair(z):
+            _, f, fp = _taylor_parts(_AIRY_C, _AIRY_LOG_C, np.array([z]))
+            return complex(f[0]), complex(fp[0])
+
+        def _airy_asym_pair(z):
+            lg, f, fp = _airy_asym_parts(np.array([z]))
+            scale = cmath.exp(lg[0])
+            return scale * f[0], scale * fp[0]
+
         for r in (6.3, 6.8, 7.2):
             a = _airy_taylor_pair(complex(r))[0]
             b = _airy_asym_pair(complex(r))[0]
