@@ -109,24 +109,21 @@ def aaa_fit(points, samples, rel_tol: float = 1e-13,
                             float(worst / scale), bool(worst <= tol_abs))
 
 
+def _num_den(model: BarycentricModel, x):
+    """Numerator and denominator at points x off the support, summed as per point."""
+    c = 1.0 / (np.asarray(x)[..., None] - model.support)
+    return (c * (model.weights * model.values)).sum(-1), (c * model.weights).sum(-1)
+
+
 def bary_eval(model: BarycentricModel, s) -> complex:
     """Evaluate the approximant; support points return the stored values."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    out = np.empty(s_arr.shape, dtype=complex)
-    for i, si in enumerate(s_arr):
-        diff = si - model.support
-        hit = np.nonzero(diff == 0)[0]
-        if len(hit):
-            out[i] = model.values[hit[0]]
-            continue
-        c = 1.0 / diff
-        den = np.sum(model.weights * c)
-        num = np.sum(model.weights * model.values * c)
-        if den == 0:
-            out[i] = complex(math.inf, math.inf)
-        else:
-            out[i] = num / den
-    return out if np.ndim(s) else complex(out.flat[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _num_den(model, s_arr)
+        out = np.where(den == 0, complex(math.inf, math.inf), num / den)
+    hit = s_arr[..., None] == model.support
+    out = np.where(hit.any(-1), model.values[hit.argmax(-1)], out)
+    return out if np.ndim(s) else complex(out[0])
 
 
 def _bisect_real_root(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -146,43 +143,24 @@ def _bisect_real_root(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
 def find_real_features(model: BarycentricModel, interval, step: float = 1e-3):
     """Real zeros and poles of the approximant on an interval.
 
-    Scans the barycentric numerator and denominator on a grid and bisects
-    sign changes; small neighborhoods of the support points are masked out
-    (the denominator changes sign spuriously there).
+    Evaluates the barycentric numerator and denominator on a grid as one
+    (grid x support) matrix product and bisects sign changes of their real
+    parts one point at a time.  Grid points within 1e-6 of a support point
+    are dropped (the denominator changes sign spuriously there).
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise DomainError("empty interval")
     n = max(8, int(math.ceil((hi - lo) / step)))
     grid = np.linspace(lo, hi, n + 1)
-    keep = np.ones(len(grid), dtype=bool)
-    for zj in model.support:
-        keep &= np.abs(grid - zj) > 1e-6
-    grid = grid[keep]
-
-    def num_den(x):
-        c = 1.0 / (x - model.support)
-        return (np.sum(model.weights * model.values * c),
-                np.sum(model.weights * c))
-
-    nums = np.empty(len(grid), dtype=complex)
-    dens = np.empty(len(grid), dtype=complex)
-    for i, x in enumerate(grid):
-        nums[i], dens[i] = num_den(x)
-    zeros, poles = [], []
-    nr = nums.real
-    dr = dens.real
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        if nr[i] * nr[i + 1] < 0:
-            root = _bisect_real_root(lambda x: num_den(x)[0].real, a, b)
-            if abs(num_den(root)[1]) > 1e-12:
-                zeros.append(root)
-        if dr[i] * dr[i + 1] < 0:
-            root = _bisect_real_root(lambda x: num_den(x)[1].real, a, b)
-            if abs(num_den(root)[0]) > 1e-12:
-                poles.append(root)
-    return zeros, poles
+    grid = grid[np.all(np.abs(grid[:, None] - model.support) > 1e-6, axis=1)]
+    found = ([], [])                       # zeros of N, zeros of D
+    for k, vals in enumerate(_num_den(model, grid)):
+        for i in np.nonzero(vals.real[:-1] * vals.real[1:] < 0)[0]:
+            root = _bisect_real_root(lambda x: _num_den(model, x)[k].real, grid[i], grid[i + 1])
+            if abs(_num_den(model, root)[1 - k]) > 1e-12:
+                found[k].append(root)
+    return found
 
 
 def derivative_at(model: BarycentricModel, s: float, h: float = 1e-6) -> complex:

@@ -15,7 +15,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
 from .kernels import (EULER_GAMMA, bernoulli_number, digamma,
                       digamma_polygamma, gamma)
-from .quadrature import euler_maclaurin_tail
+from .quadrature import euler_maclaurin_tail, gauss_jacobi
 from .series import PowerSeries, series_exp
 
 RIEMANN_PSI = 3.0 * math.pi / 4.0
@@ -184,7 +184,7 @@ def _zeta_int(k: int) -> float:
         lambda t: t ** -s,
         lambda t: -s * t ** (-s - 1.0),
         lambda t: -s * (s + 1.0) * (s + 2.0) * t ** (-s - 3.0),
-        n0 + 1)
+        n0 + 1, s)
     return head + tail.real
 
 
@@ -455,38 +455,6 @@ def _pcf_tail_coeffs(a: float, depth: int) -> list:
             for n in range(1, depth + 1)]
 
 
-def _jacobi(n: int, beta: float, x):
-    """(P_n, P_n') of the Jacobi polynomial P_n^(0, beta) at the points x."""
-    p0, p1 = np.ones_like(x), 0.5 * ((beta + 2.0) * x - beta)
-    for j in range(2, n + 1):
-        c = 2 * j + beta
-        p0, p1 = p1, ((c - 1) * (c * (c - 2) * x - beta * beta) * p1
-                      - 2 * (j - 1) * (j + beta - 1) * c * p0) / (2 * j * (j + beta) * (c - 2))
-    dp = n * (2 * (n + beta) * p0 - (beta + (2 * n + beta) * x) * p1)
-    return p1, dp / ((2 * n + beta) * (1.0 - x) * (1.0 + x))
-
-
-@lru_cache(maxsize=None)
-def _gauss_jacobi(n: int, beta: float):
-    """n-point Gauss rule on [0, 1] for the weight y^beta, -1 < beta < 1.
-
-    Newton on the Jacobi recurrence from the Szego node estimates, so no
-    eigenvalue solver is needed.  Returns (nodes, weights).
-    """
-    x = np.cos((np.arange(1, n + 1) - 0.25) * math.pi / (n + 0.5 * beta + 0.5))
-    for _ in range(30):
-        p, dp = _jacobi(n, beta, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    _, dp = _jacobi(n, beta, x)
-    rule = 0.5 * (1.0 + x), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    for v in rule:
-        v.flags.writeable = False       # shared by every caller through the cache
-    return rule
-
-
 def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     """Model for the zeros of the parabolic cylinder function U(a, z), a > -1/2.
 
@@ -518,7 +486,7 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     def laplace(z):
         # U = e^{-z^2/4}/Gamma(a+1/2) * I_0,  I_p = int_0^T t^{a-1/2+p} e^{-t^2/2-zt} dt,
         # T past the e^-40 point of the integrand; one rule on [0, 1] scaled by T
-        y, wts = _gauss_jacobi(80, beta)
+        y, wts = gauss_jacobi(80, beta)
         big_t = np.sqrt(z.real * z.real + 80.0) - z.real
         t = big_t[:, None] * y
         e = np.exp(-0.5 * t * t - z[:, None] * t)

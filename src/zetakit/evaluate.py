@@ -17,7 +17,7 @@ from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
 from .errors import (AccuracyError, ConditioningWarning, DomainError,
                      PoleError, SlowConvergenceError, StripError)
-from .kernels import fsum_complex, log_psi
+from .kernels import log_psi_array
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 
 _DEFAULT_QUAD_TOL = 1e-11
@@ -59,7 +59,9 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     """Direct summation of a_n^(-s) plus an Euler-Maclaurin tail estimate.
 
     The branch of the power is the cut-at-psi logarithm (default: principal).
-    Requires Re(s) > alpha + 0.25 so the tail estimate is trustworthy.
+    The head is one pairwise ``np.sum`` over the term array; the tail is
+    ``euler_maclaurin_tail`` with the decay exponent p = s/alpha.  Requires
+    Re(s) > alpha + 0.25 so the tail estimate is trustworthy.
     """
     s = complex(s)
     if s.real <= zeros.alpha + 0.25:
@@ -70,10 +72,10 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     if np.all(vals.imag == 0.0) and np.all(vals.real > 0.0):
         logs = np.log(vals.real).astype(complex)
     else:
-        logs = np.array([log_psi(v, psi) for v in vals])
-    head = fsum_complex(np.exp(-s * logs))
+        logs = log_psi_array(vals, psi)
+    head = complex(np.sum(np.exp(-s * logs)))
     f, fp, fppp = _tail_derivs(zeros.tail_fn, s)
-    tail = euler_maclaurin_tail(f, fp, fppp, n_terms + 1)
+    tail = euler_maclaurin_tail(f, fp, fppp, n_terms + 1, s / zeros.alpha)
     return head + tail
 
 

@@ -265,7 +265,12 @@ def log_psi(z, psi: float) -> complex:
     return complex(math.log(abs(z)), theta)
 
 
-def fsum_complex(values) -> complex:
-    """Exact summation of complex values via two real fsums."""
-    vals = np.asarray(list(values), dtype=complex)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+def log_psi_array(z, psi: float):
+    """Array form of ``log_psi``: ln|z| + i*theta, theta in (psi - 2*pi, psi]."""
+    if np.any(z == 0):
+        raise DomainError("log of zero")
+    theta = np.angle(z)
+    theta = np.where(theta > psi, theta - TWO_PI * np.ceil((theta - psi) / TWO_PI), theta)
+    theta = np.where(theta <= psi - TWO_PI,
+                     theta + TWO_PI * np.floor((psi - theta) / TWO_PI), theta)
+    return np.log(np.abs(z)) + 1j * theta

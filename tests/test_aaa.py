@@ -6,6 +6,53 @@ import pytest
 from zetakit import (BarycentricModel, DomainError, aaa_fit, airy_zeros,
                      bary_eval, continued_zeta, derivative_at,
                      find_real_features, zeta_series)
+from zetakit.aaa import _bisect_real_root
+
+
+def _scalar_scan(model, interval, step=1e-3):
+    """The point-by-point scan find_real_features replaced, kept as a reference."""
+    lo, hi = float(interval[0]), float(interval[1])
+    n = max(8, int(math.ceil((hi - lo) / step)))
+    grid = np.linspace(lo, hi, n + 1)
+    keep = np.ones(len(grid), dtype=bool)
+    for zj in model.support:
+        keep &= np.abs(grid - zj) > 1e-6
+    grid = grid[keep]
+
+    def num_den(x):
+        c = 1.0 / (x - model.support)
+        return (np.sum(model.weights * model.values * c),
+                np.sum(model.weights * c))
+
+    nums = np.empty(len(grid), dtype=complex)
+    dens = np.empty(len(grid), dtype=complex)
+    for i, x in enumerate(grid):
+        nums[i], dens[i] = num_den(x)
+    zeros, poles = [], []
+    nr = nums.real
+    dr = dens.real
+    for i in range(len(grid) - 1):
+        a, b = grid[i], grid[i + 1]
+        if nr[i] * nr[i + 1] < 0:
+            root = _bisect_real_root(lambda x: num_den(x)[0].real, a, b)
+            if abs(num_den(root)[1]) > 1e-12:
+                zeros.append(root)
+        if dr[i] * dr[i + 1] < 0:
+            root = _bisect_real_root(lambda x: num_den(x)[1].real, a, b)
+            if abs(num_den(root)[0]) > 1e-12:
+                poles.append(root)
+    return zeros, poles
+
+
+def _near_support_root_model():
+    # r(s) = (s + 1 + 4e-7) / (s - q), q = -2.4567, in barycentric form on the
+    # support {z1, 0.5} with z1 = -1 + 3e-7; w1 / w2 = (q - z1) / (0.5 - q)
+    # puts the zero of the denominator at q.  The zero of r lies 7e-7 from
+    # z1, next to the grid point -1, which the scan masks.
+    q = -2.4567
+    z = np.array([-1.0 + 3e-7, 0.5])
+    w = np.array([-2.0 * (q - z[0]) / (0.5 - q), -2.0 + 0j])
+    return BarycentricModel(z, (z + 1.0 + 4e-7) / (z - q), w)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +146,25 @@ class TestEval:
         val = bary_eval(model, 0.5)
         assert not np.isfinite(val)
 
+    def test_array_input(self, airy_fit):
+        _, _, model = airy_fit
+        pts = np.concatenate((model.support[:3], [2.05, 3.3, 7.9, 0.0]))
+        got = bary_eval(model, pts)
+        assert got.shape == pts.shape
+        assert np.array_equal(got[:3], model.values[:3])
+        for x, g in zip(pts, got):
+            assert abs(g - bary_eval(model, x)) <= 1e-14 * abs(g)
+        assert bary_eval(model, pts.reshape(7, 1)).shape == (7, 1)
+
+    def test_array_pole_marker(self):
+        model = BarycentricModel(np.array([0.0, 1.0]), np.array([1.0, 2.0 + 0j]),
+                                 np.array([1.0, 1.0 + 0j]))
+        got = bary_eval(model, np.array([0.5, 0.0, 1.0, 2.0]))
+        assert not np.isfinite(got[0])
+        assert got[1] == 1.0 and got[2] == 2.0
+        assert got[3] == bary_eval(model, 2.0)
+        assert abs(got[3] - 2.5 / 1.5) <= 1e-15
+
     def test_json_roundtrip(self, airy_fit):
         _, _, model = airy_fit
         back = BarycentricModel.from_json(model.to_json())
@@ -118,6 +184,16 @@ class TestFeatures:
         assert len(in_pole_window) == 1
         assert abs(in_zero_window[0] + 0.992) < 0.02
         assert abs(in_pole_window[0] + 1.42) < 0.02
+
+    def test_matches_scalar_scan(self, airy_fit):
+        toy = aaa_fit(np.linspace(2, 8, 50), 1.0 / (np.linspace(2, 8, 50) + 2.0))
+        near = _near_support_root_model()
+        cases = [(airy_fit[2], (-3.0, 0.0)), (toy, (-3.0, -1.0)), (toy, (-3.0, 0.0)),
+                 (near, (-3.0, 0.0)), (near, (-1.5, 0.3))]
+        for model, interval in cases:
+            got = find_real_features(model, interval)
+            assert got == _scalar_scan(model, interval)
+        assert any(abs(p + 2.4567) < 1e-9 for p in find_real_features(near, (-3.0, 0.0))[1])
 
     def test_interval_validation(self, airy_fit):
         _, _, model = airy_fit

@@ -9,6 +9,7 @@ import pytest
 from zetakit import (DomainError, EULER_GAMMA, UnsupportedOrderError,
                      bernoulli_number, bernoulli_poly, binomial_general,
                      digamma_polygamma, gamma, log_psi, stirling_first)
+from zetakit.kernels import log_psi_array
 
 from conftest import rel_err
 
@@ -206,3 +207,30 @@ class TestBranchedLog:
                 continue
             psi = rng.uniform(-math.pi, math.pi)
             assert rel_err(cmath.exp(log_psi(z, psi)), z) < 1e-14
+
+    @pytest.mark.parametrize("psi", [math.pi, 3 * math.pi / 4, 1.6, 0.0, -1.0, -math.pi])
+    def test_array_form_matches_scalar(self, psi):
+        # on the cut, next to it on both sides, and off it; for |psi| <= pi
+        # both forms shift by at most one turn, so theta agrees exactly
+        pts = [cmath.rect(r, psi + d) for r in (0.5, 2.0)
+               for d in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 2.0, -2.0)]
+        pts += [complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-2.0, 5e-324),
+                complex(-2.0, -5e-324), complex(3.0, 0.0), complex(0.0, -1.0)]
+        got = log_psi_array(np.array(pts), psi)
+        want = np.array([log_psi(z, psi) for z in pts])
+        assert np.array_equal(got.imag, want.imag)
+        assert np.max(np.abs(got.real - want.real)) <= 1e-15
+        assert np.all((psi - 2 * math.pi < got.imag) & (got.imag <= psi))
+
+    def test_array_form_wide_psi(self):
+        rng = np.random.default_rng(23)
+        z = rng.uniform(-5, 5, 400) + 1j * rng.uniform(-5, 5, 400)
+        for psi in (5.0, -7.0, 11.0):
+            got = log_psi_array(z, psi)
+            want = np.array([log_psi(v, psi) for v in z])
+            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.all((psi - 2 * math.pi < got.imag) & (got.imag <= psi))
+
+    def test_array_form_rejects_zero(self):
+        with pytest.raises(DomainError):
+            log_psi_array(np.array([1.0 + 0j, 0j]), 1.0)
