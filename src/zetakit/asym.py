@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError, StripError
-from .series import LogCoeffs
+from .series import LogCoeffs, PowerSeries, log_coeffs
 
 _ZERO_THRESHOLD = 1e-14
 _INT_TOL = 1e-9
@@ -165,18 +165,12 @@ class PoleReport:
 def log_compose(raw) -> np.ndarray:
     """Coefficients D_1..D_N of ln(1 + sum_m C_m y^m) from C_1..C_N.
 
-    Returns an array indexed 1..N (slot 0 unused).  Same recursion as the
-    Taylor-side log, restated for asymptotic tail series.
+    Returns an array indexed 1..N (slot 0 unused): the log-coefficient
+    recursion of ``log_coeffs`` applied to the tail series.
     """
-    c = np.concatenate(([0.0 + 0.0j], np.asarray(list(raw), dtype=complex)))
-    n = len(c) - 1
-    dd = np.zeros(n + 1, dtype=complex)
-    for j in range(1, n + 1):
-        acc = c[j]
-        for ell in range(1, j):
-            acc -= (ell / j) * c[j - ell] * dd[ell]
-        dd[j] = acc
-    return dd
+    # b_j depends on c_0..c_j only, so a padding coefficient (dropped again)
+    # keeps an empty table a valid series without changing any slot
+    return log_coeffs(PowerSeries([1.0, *raw, 0.0])).b[:-1]
 
 
 def residue_at(asym: AsymExpansion, j: int) -> complex:

@@ -30,6 +30,11 @@ def _fmt(x) -> str:
     return f"{x.real:.15g}{x.imag:+.15g}j"
 
 
+def _cjson(x):
+    """A complex number as the JSON pair {"re", "im"}; None stays None."""
+    return None if x is None else {"re": x.real, "im": x.imag}
+
+
 def _cnum(text: str) -> complex:
     return complex(text.replace(" ", "").replace("i", "j"))
 
@@ -68,7 +73,7 @@ def _value_entry(model, n: int, check: bool):
     pole = report.pole_at(float(n))
     if pole is not None:
         entry.update(method="pole", order=pole.order,
-                     residue={"re": pole.residue.real, "im": pole.residue.imag})
+                     residue=_cjson(pole.residue))
         return entry
     if n > alpha:
         val = zeta_pos_int(model.series, n, alpha)
@@ -82,7 +87,7 @@ def _value_entry(model, n: int, check: bool):
         logc = log_coeffs(model.series) if n >= 1 else None
         val = zeta_int_leq_alpha(model.asym, logc, n)
         method = "structural-zero" if (n < 0 and absent) else "continuation"
-    entry.update(method=method, value={"re": val.real, "im": val.imag})
+    entry.update(method=method, value=_cjson(val))
     form = model.closed_forms.get(n)
     if form:
         entry["closed_form"] = form
@@ -133,10 +138,7 @@ def cmd_values(args) -> int:
 def _params_doc(model):
     out = {}
     for k, v in model.params.items():
-        if isinstance(v, complex):
-            out[k] = {"re": v.real, "im": v.imag}
-        else:
-            out[k] = v
+        out[k] = _cjson(v) if isinstance(v, complex) else v
     return out
 
 
@@ -145,8 +147,7 @@ def cmd_poles(args) -> int:
     report = classify_poles(model.asym)
     entries = []
     for p in report.poles:
-        e = {"location": p.location, "order": p.order,
-             "residue": {"re": p.residue.real, "im": p.residue.imag}}
+        e = {"location": p.location, "order": p.order, "residue": _cjson(p.residue)}
         if args.check:
             h1, h2 = 1e-3, 1e-4
             f1 = (h1 ** p.order) * l_asy_eval(model.asym, p.location + h1, args.R or 1.0)
@@ -156,10 +157,7 @@ def cmd_poles(args) -> int:
         entries.append(e)
     doc = {"command": "poles", "model": model.name, "params": _params_doc(model),
            "poles": entries,
-           "zeta0": None if report.zeta0 is None else
-           {"re": report.zeta0.real, "im": report.zeta0.imag},
-           "zeta_prime0": None if report.zeta_prime0 is None else
-           {"re": report.zeta_prime0.real, "im": report.zeta_prime0.imag}}
+           "zeta0": _cjson(report.zeta0), "zeta_prime0": _cjson(report.zeta_prime0)}
     lines = [f"pole at s = {p['location']:g}, order {p['order']}, "
              f"residue {_fmt(complex(p['residue']['re'], p['residue']['im']))}"
              + (f"   (check: {p['check_discrepancy']:.2e})" if "check_discrepancy" in p else "")
@@ -189,19 +187,14 @@ def cmd_shift(args) -> int:
             branch_note = ("evaluator cannot reach -B/A; zeta'(0) omitted")
     rep = shifted_values(model.asym, shift, ln_f_shifted=ln_f_shift,
                          n_values=[n for n in range(-6, 0)])
-    entries = [{"location": p.location, "order": p.order,
-                "residue": {"re": p.residue.real, "im": p.residue.imag}}
+    entries = [{"location": p.location, "order": p.order, "residue": _cjson(p.residue)}
                for p in rep.report.poles]
     doc = {"command": "shift", "model": model.name, "params": _params_doc(model),
-           "A": {"re": shift.A.real, "im": shift.A.imag},
-           "B": {"re": shift.B.real, "im": shift.B.imag},
+           "A": _cjson(shift.A), "B": _cjson(shift.B),
            "poles": entries,
-           "zeta0": None if rep.report.zeta0 is None else
-           {"re": rep.report.zeta0.real, "im": rep.report.zeta0.imag},
-           "zeta_prime0": None if rep.report.zeta_prime0 is None or ln_f_shift is None
-           else {"re": rep.report.zeta_prime0.real, "im": rep.report.zeta_prime0.imag},
-           "values": {str(n): {"re": v.real, "im": v.imag}
-                      for n, v in sorted(rep.values.items())},
+           "zeta0": _cjson(rep.report.zeta0),
+           "zeta_prime0": None if ln_f_shift is None else _cjson(rep.report.zeta_prime0),
+           "values": {str(n): _cjson(v) for n, v in sorted(rep.values.items())},
            "flags": list(rep.flags) + ([branch_note] if branch_note else [])}
     lines = [f"transformed sequence A*a_n + B with A={_fmt(shift.A)}, B={_fmt(shift.B)}"]
     for p in rep.report.poles:
@@ -236,8 +229,7 @@ def _point_command(args, which: str) -> int:
     else:
         val = continued_zeta(model, s, **kw)
     doc = {"command": which, "model": model.name, "params": _params_doc(model),
-           "s": {"re": s.real, "im": s.imag},
-           "value": {"re": val.real, "im": val.imag}}
+           "s": _cjson(s), "value": _cjson(val)}
     lines = [f"zeta({_fmt(s)}) = {_fmt(val)}   [{which}]"]
     if args.check:
         if which == "series":
@@ -275,10 +267,8 @@ def cmd_aaa(args) -> int:
            "features": {"zeros": list(map(float, zeros)),
                         "poles": list(map(float, poles))},
            "verification": {
-               "zeta1": {"re": v1.real, "im": v1.imag},
-               "zeta0": {"re": v0.real, "im": v0.imag},
-               "zeta_prime0": {"re": d0.real, "im": d0.imag},
-               "zeta_minus_half": {"re": vm.real, "im": vm.imag}}}
+               "zeta1": _cjson(v1), "zeta0": _cjson(v0),
+               "zeta_prime0": _cjson(d0), "zeta_minus_half": _cjson(vm)}}
     lines = [
         f"fitted degree {fit.degree}, max relative residual {fit.max_residual:.2e}"
         + ("" if fit.converged else "  (tolerance not reached)"),
@@ -316,7 +306,8 @@ def _add_common(p, with_s=False):
     p.add_argument("--check", action="store_true",
                    help="re-derive through an independent route")
     p.add_argument("--R", type=float, default=None, help="circle radius")
-    p.add_argument("--tmax", type=float, default=None, help="ray cutoff")
+    p.add_argument("--tmax", type=float, default=None,
+                   help="upper bound of the ray-cutoff search")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
     if with_s:
         p.add_argument("--s", required=True, help="evaluation point (complex ok)")

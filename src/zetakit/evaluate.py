@@ -8,26 +8,18 @@ strip covered by the asymptotic table).
 
 import cmath
 import math
-import os
 import warnings
 
 import numpy as np
 
 from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
-from .errors import (AccuracyError, ConditioningWarning, DomainError,
-                     PoleError, SlowConvergenceError, StripError)
+from .errors import (ConditioningWarning, DomainError, PoleError,
+                     SlowConvergenceError, StripError)
 from .kernels import log_psi_array
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 
 _DEFAULT_QUAD_TOL = 1e-11
-
-
-def _quad_tol(override):
-    if override is not None:
-        return float(override)
-    env = os.environ.get("ZETAKIT_QUAD_TOL")
-    return float(env) if env else _DEFAULT_QUAD_TOL
 
 
 def _is_exact_integer(s: complex) -> bool:
@@ -121,40 +113,71 @@ def _default_radius(model: CatalogModel, R):
     return 0.85 * model.first_zero_modulus
 
 
+def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
+                        quad_tol, continued: bool) -> complex:
+    """circle(R) + L_asy(a) + pref * int_R^T t^(-s) (e^{i psi} F'/F - [t >= a] D(t)) dt.
+
+    D is ``ray_tail_derivative``, the derivative of the truncated asymptotic
+    expansion of ln F along the ray, and L_asy(a) = ``l_asy_eval(asym, s, a)``
+    its ray integral from a to infinity in closed form.  The continued
+    representation subtracts D along the whole ray (a = R); the contour
+    representation integrates the bare F'/F up to the cutoff T and adds only
+    the tail past T in closed form (a = T).  T grows while the subtracted
+    integrand still has signal above the differencing-roundoff floor, and
+    never past ``t_max``.  At exact integers the sine prefactor annihilates
+    every ray term, so the ray is skipped.
+    """
+    tol = _DEFAULT_QUAD_TOL if quad_tol is None else float(quad_tol)
+    R = _default_radius(model, R)
+    total = _circle_term(model, s, R, tol)
+    if continued:
+        total += l_asy_eval(asym, s, R)
+    if _is_exact_integer(s):
+        return total
+    eipsi = cmath.exp(1j * asym.psi)
+
+    def integrand(t, subtract=True):
+        t = np.asarray(t, dtype=float)
+        ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
+        if subtract:
+            return t ** (-s) * (eipsi * ld - ray_tail_derivative(asym, t))
+        return t ** (-s) * eipsi * ld
+
+    def noise_floor(t):
+        # size of the quantities being differenced, times an ulp
+        t = np.asarray(t, dtype=float)
+        ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
+        return float(np.max(t ** (-s.real) * np.abs(ld))) * 2e-16
+
+    t_up = min(max(3.0 * R, 6.0), t_max)
+    while t_up < t_max:
+        pts = np.array([0.7 * t_up, t_up])
+        probe = float(np.max(np.abs(integrand(pts))))
+        if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts):
+            break
+        t_up *= 2.0
+    t_up = min(t_up, t_max)
+    eff_tol = max(tol, 3.0 * t_up * noise_floor(np.array([t_up])))
+    if not continued:
+        total += l_asy_eval(asym, s, t_up)
+    ray = quad_adaptive(lambda t: integrand(t, continued), R, t_up, abs_tol=eff_tol,
+                        initial_points=_geometric_points(R, t_up))
+    return total + ray_prefactor(s, asym.psi) * ray
+
+
 def contour_zeta(model: CatalogModel, s, R: float | None = None,
                  t_max: float = 400.0, quad_tol: float | None = None) -> complex:
-    """Deformed-contour representation: ray integral plus circle integral.
+    """Deformed-contour representation: circle integral plus ray integral.
 
-    Valid for Re(s) > alpha.  At integer s the sine prefactor annihilates
-    the ray term exactly and only the circle survives.
+    Valid for Re(s) > alpha.  The ray integral of F'/F runs to the cutoff
+    found by the search (capped by ``t_max``); the tail past it comes from
+    the asymptotic table in closed form.
     """
     _require_eval(model)
     s = complex(s)
-    asym = model.asym
-    if s.real <= asym.alpha:
+    if s.real <= model.asym.alpha:
         raise DomainError("contour representation needs Re s > alpha")
-    tol = _quad_tol(quad_tol)
-    R = _default_radius(model, R)
-    psi = asym.psi
-    total = _circle_term(model, s, R, tol)
-    pref = ray_prefactor(s, psi)
-    if not _is_exact_integer(s):
-        eipsi = cmath.exp(1j * psi)
-
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
-            return t ** (-s) * eipsi * ld
-
-        ray = quad_adaptive(integrand, R, t_max, abs_tol=tol,
-                            initial_points=_geometric_points(R, t_max))
-        total += pref * ray
-        edge = abs(pref) * abs(complex(integrand(np.array([t_max]))[0]))
-        if edge > 1e-12 * max(abs(total), 1e-30):
-            raise AccuracyError(
-                f"ray integrand at t_max={t_max} is {edge:.2e}, not negligible "
-                "against the accumulated value; increase t_max")
-    return total
+    return _ray_representation(model, model.asym, s, R, t_max, quad_tol, continued=False)
 
 
 def continued_zeta(model: CatalogModel, s, R: float | None = None,
@@ -182,38 +205,4 @@ def continued_zeta(model: CatalogModel, s, R: float | None = None,
             warnings.warn(
                 f"s = {s} is within {dist:.1e} of the pole at {p.location}; "
                 "conditioning is poor", ConditioningWarning, stacklevel=2)
-    tol = _quad_tol(quad_tol)
-    R = _default_radius(model, R)
-    psi = asym.psi
-    total = _circle_term(model, s, R, tol)
-    total += l_asy_eval(asym, s, R)
-    pref = ray_prefactor(s, psi)
-    if not _is_exact_integer(s):
-        eipsi = cmath.exp(1j * psi)
-
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
-            return t ** (-s) * (eipsi * ld - ray_tail_derivative(asym, t))
-
-        def noise_floor(t):
-            # size of the quantities being differenced, times an ulp
-            t = np.asarray(t, dtype=float)
-            ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
-            return float(np.max(t ** (-s.real) * np.abs(ld))) * 2e-16
-
-        # extend the cutoff only while the subtracted integrand still has
-        # signal above the differencing-roundoff floor
-        t_up = min(max(3.0 * R, 6.0), t_max)
-        while t_up < t_max:
-            pts = np.array([0.7 * t_up, t_up])
-            probe = float(np.max(np.abs(integrand(pts))))
-            if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts):
-                break
-            t_up *= 2.0
-        t_up = min(t_up, t_max)
-        eff_tol = max(tol, 3.0 * t_up * noise_floor(np.array([t_up])))
-        ray = quad_adaptive(integrand, R, t_up, abs_tol=eff_tol,
-                            initial_points=_geometric_points(R, t_up))
-        total += pref * ray
-    return total
+    return _ray_representation(model, asym, s, R, t_max, quad_tol, continued=True)

@@ -8,7 +8,6 @@ Hadamard-normalized form.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -115,23 +114,6 @@ def zeta_pos_int(series: PowerSeries, n: int, alpha: float,
     return -n * b[n]
 
 
-@lru_cache(maxsize=None)
-def _compositions(n: int) -> tuple:
-    """Ordered tuples (j_1..j_k), k >= 2, of positive integers summing to n."""
-    out = []
-
-    def rec(remaining, prefix):
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(tuple(prefix))
-            return
-        for j in range(1, remaining + 1):
-            rec(remaining - j, prefix + [j])
-
-    rec(n, [])
-    return tuple(out)
-
-
 def zeta_via_bell(series: PowerSeries, n: int) -> complex:
     """zeta_S(n) through ordinary Bell polynomials (cross-check route)."""
     if n < 1:
@@ -160,7 +142,10 @@ def exact_sum_rule(series: PowerSeries, n: int, zeta_values: dict) -> complex:
 
     Expresses zeta_S(n) through zeta_S(1)..zeta_S(n-1):
     the leading term (-1)^n n (1/n! - c0^{n-1} c_n / c1^n) zeta^n(1) plus the
-    composition sum over j_1+...+j_k = n with n > k >= 2.
+    composition sum over j_1+...+j_k = n with n > k >= 2.  Grouped by k, the
+    compositions of n form the coefficient of x^n in exp(-sum_{j<n} zeta_S(j) x^j / j),
+    which absorbs the 1/n! part of the leading term, so the whole rule is
+    n [x^n] exp(...) - (-1)^n n c0^{n-1} c_n / c1^n zeta^n(1), in O(n^2).
     ``zeta_values`` must map 1..n-1 to zeta_S values.
     """
     c = series.coeffs
@@ -173,20 +158,11 @@ def exact_sum_rule(series: PowerSeries, n: int, zeta_values: dict) -> complex:
         raise DomainError(f"zeta_values missing entries for {missing}")
     c0, c1 = c[0], c[1]
     cn = c[n] if n <= series.order else 0.0
-    z1 = zeta_values[1]
-    lead = (-1.0) ** n * n * (1.0 / math.factorial(n) - c0 ** (n - 1) * cn / c1 ** n)
-    total = lead * z1 ** n
-    for tup in _compositions(n):
-        k = len(tup)
-        if k >= n:
-            continue
-        prod = 1.0 + 0.0j
-        denom = 1.0
-        for j in tup:
-            prod *= zeta_values[j]
-            denom *= j
-        total += (-1.0) ** k * n / (math.factorial(k) * denom) * prod
-    return total
+    expo = np.zeros(n + 1, dtype=complex)
+    for j in range(1, n):
+        expo[j] = -complex(zeta_values[j]) / j
+    comps = n * series_exp(expo)[n]
+    return complex(comps - (-1.0) ** n * n * c0 ** (n - 1) * cn / c1 ** n * zeta_values[1] ** n)
 
 
 def hadamardize(series: PowerSeries, alpha: float) -> PowerSeries:

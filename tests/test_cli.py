@@ -146,9 +146,14 @@ class TestPointCommands:
         assert code == 1
         assert "pole" in err
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETAKIT_QUAD_TOL", "1e-6")
-        code, doc, _ = run_json(capsys, "continue", "--model", "airy", "--s", "0")
+    def test_series_check_off_integers(self, capsys):
+        code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
+        assert code == 0
+        assert doc["check_discrepancy"] < 1e-10
+
+    def test_tolerance_override(self, capsys):
+        code, doc, _ = run_json(capsys, "continue", "--model", "airy", "--s", "0",
+                                "--tol", "1e-6")
         assert code == 0
         assert doc["value"]["re"] == pytest.approx(-0.25, abs=1e-4)
 

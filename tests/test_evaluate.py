@@ -4,9 +4,11 @@ import warnings
 import mpmath as mp
 import pytest
 
-from zetakit import (AccuracyError, ConditioningWarning, DomainError,
-                     PoleError, SlowConvergenceError, StripError,
-                     contour_zeta, continued_zeta, zeta_pos_int, zeta_series)
+from zetakit import (ConditioningWarning, DomainError, PoleError,
+                     SlowConvergenceError, StripError, contour_zeta,
+                     continued_zeta, zeta_pos_int, zeta_series)
+
+from conftest import rel_err
 
 
 class TestZetaSeries:
@@ -70,16 +72,27 @@ class TestContourZeta:
         ref = zeta_pos_int(airy.series, 6, airy.alpha, allow_extended=True)
         assert abs(got - ref) < 1e-10
 
-    def test_noninteger_needs_large_tmax(self, riemann):
-        with pytest.raises(AccuracyError):
-            contour_zeta(riemann, 2.5, R=0.5, t_max=400.0)
-        got = contour_zeta(riemann, 2.5, R=0.5, t_max=2.0e7, quad_tol=1e-9)
-        assert abs(got - complex(mp.zeta(2.5))) < 1e-6
+    def test_noninteger_default_arguments(self, riemann, airy, hurwitz_quarter):
+        # the ray stops at the searched cutoff and the tail past it comes
+        # from the asymptotic table, so no t_max needs to reach the far tail
+        assert abs(contour_zeta(riemann, 2.5) - complex(mp.zeta(2.5))) < 1e-10
+        assert abs(contour_zeta(airy, 2.5) - zeta_series(airy.zeros, 2.5, 8000)) < 1e-10
+        ref = complex(mp.zeta(2.5, mp.mpf("0.25")))
+        assert rel_err(contour_zeta(hurwitz_quarter, 2.5), ref) < 1e-12
 
     def test_airy_noninteger(self, airy):
         got = contour_zeta(airy, 2.5, R=1.5, t_max=2.0e6, quad_tol=1e-10)
         ref = zeta_series(airy.zeros, 2.5, 8000)
         assert abs(got - ref) < 1e-6
+
+    @pytest.mark.parametrize("fixture, R", [
+        ("riemann", None), ("hurwitz_quarter", None), ("airy", None),
+        ("pcf_one", 0.9), ("chf_half", 0.9)])
+    def test_agrees_with_continued_off_integers(self, request, fixture, R):
+        model = request.getfixturevalue(fixture)
+        s = model.alpha + 0.3
+        got = contour_zeta(model, s, R=R)
+        assert rel_err(got, continued_zeta(model, s, R=R)) < 1e-10
 
     def test_domain_guard(self, airy):
         with pytest.raises(DomainError):
@@ -148,9 +161,8 @@ class TestContinuedZeta:
         trimmed = continued_zeta(airy, -0.5, depth=9)
         assert abs(full - trimmed) < 1e-7
 
-    def test_quad_tol_env_override(self, airy, monkeypatch):
-        monkeypatch.setenv("ZETAKIT_QUAD_TOL", "1e-6")
-        got = continued_zeta(airy, 0.0)
+    def test_quad_tol_override(self, airy):
+        got = continued_zeta(airy, 0.0, quad_tol=1e-6)
         assert abs(got + 0.25) < 1e-4
 
     def test_zeta0_limit_consistency(self, riemann, airy):

@@ -173,6 +173,40 @@ class TestExactSumRule:
         with pytest.raises(DomainError):
             exact_sum_rule(PowerSeries(c), 2, {1: 0.0})
 
+    @pytest.mark.parametrize("fixture", ["airy", "riemann"])
+    def test_matches_composition_sum(self, request, fixture):
+        series = request.getfixturevalue(fixture).series
+        b = log_coeffs(series)
+        zv = {j: -j * b[j] for j in range(1, 16)}
+        for n in range(2, 17):
+            got = exact_sum_rule(series, n, zv)
+            assert rel_err(got, _composition_sum(series, n, zv)) < 1e-13
+
+
+def _compositions(n):
+    """Ordered tuples of positive integers summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for j in range(1, n + 1):
+        for rest in _compositions(n - j):
+            yield (j,) + rest
+
+
+def _composition_sum(series, n, zeta_values):
+    """The exact sum rule as written: the leading term plus the sum over
+    compositions j_1+...+j_k = n with n > k >= 2 (2^(n-1) terms)."""
+    c = series.coeffs
+    cn = c[n] if n <= series.order else 0.0
+    total = ((-1.0) ** n * n * (1.0 / math.factorial(n) - c[0] ** (n - 1) * cn / c[1] ** n)
+             * zeta_values[1] ** n)
+    for tup in _compositions(n):
+        k = len(tup)
+        if 2 <= k < n:
+            total += ((-1.0) ** k * n / (math.factorial(k) * math.prod(tup))
+                      * math.prod(zeta_values[j] for j in tup))
+    return total
+
 
 class TestHadamardize:
     def test_alpha_below_one_scales_only(self):
