@@ -126,43 +126,52 @@ def bary_eval(model: BarycentricModel, s) -> complex:
     return out if np.ndim(s) else complex(out[0])
 
 
-def _bisect_real_root(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    flo = fn(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if hi - lo < tol:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_REAL_TOL = 1e-9      # a root is real when |Im| <= _REAL_TOL * interval length
 
 
-def find_real_features(model: BarycentricModel, interval, step: float = 1e-3):
-    """Real zeros and poles of the approximant on an interval.
+def _roots(z, a):
+    """Zeros of sum_j a_j / (x - z_j): the eigenvalues of the arrowhead pencil
+    (Nakatsukasa, Sete & Trefethen 2018) deflated onto {v : a^T v = 0}, that is
+    of Q^H Z Q - (Q^H 1)(a^T Z Q) / sum(a), each polished by three Newton steps
+    on the sum in extended precision.  If sum(a) = 0 the sum equals
+    sum_{j<m} a_j (z_j - z_m)/(x - z_j) over (x - z_m), with the same zeros."""
+    if len(z) < 2:
+        return np.empty(0, dtype=complex)
+    if a.sum() == 0:
+        return _roots(z[:-1], a[:-1] * (z[:-1] - z[-1]))
+    q = np.linalg.qr(a.conj()[:, None], mode="complete")[0][:, 1:]
+    m = (q.conj().T * z) @ q - np.outer(q.conj().sum(0), (a * z) @ q) / a.sum()
+    x = np.linalg.eigvals(m).astype(np.clongdouble)
+    for _ in range(3):
+        c = 1.0 / (x[:, None] - z)
+        x += (c * a).sum(-1) / (c * c * a).sum(-1)
+    return x
 
-    Evaluates the barycentric numerator and denominator on a grid as one
-    (grid x support) matrix product and bisects sign changes of their real
-    parts one point at a time.  Grid points within 1e-6 of a support point
-    are dropped (the denominator changes sign spuriously there).
-    """
+
+def find_real_features(model: BarycentricModel, interval):
+    """Real zeros and poles of the approximant on an interval: the real roots
+    of the barycentric numerator (weights w f) and denominator (weights w)."""
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise DomainError("empty interval")
-    n = max(8, int(math.ceil((hi - lo) / step)))
-    grid = np.linspace(lo, hi, n + 1)
-    grid = grid[np.all(np.abs(grid[:, None] - model.support) > 1e-6, axis=1)]
-    found = ([], [])                       # zeros of N, zeros of D
-    for k, vals in enumerate(_num_den(model, grid)):
-        for i in np.nonzero(vals.real[:-1] * vals.real[1:] < 0)[0]:
-            root = _bisect_real_root(lambda x: _num_den(model, x)[k].real, grid[i], grid[i + 1])
-            if abs(_num_den(model, root)[1 - k]) > 1e-12:
-                found[k].append(root)
-    return found
+    found = []
+    for a in (model.weights * model.values, model.weights):
+        x = _roots(model.support, a)
+        keep = (np.abs(x.imag) <= _REAL_TOL * (hi - lo)) & (x.real >= lo) & (x.real <= hi)
+        found.append(sorted(float(v) for v in x.real[keep]))
+    return tuple(found)
 
 
-def derivative_at(model: BarycentricModel, s: float, h: float = 1e-6) -> complex:
-    """Central difference quotient of the approximant."""
-    return (bary_eval(model, s + h) - bary_eval(model, s - h)) / (2.0 * h)
+def derivative_at(model: BarycentricModel, s: float) -> complex:
+    """Closed-form derivative of the approximant (Schneider & Werner 1986):
+    r'(s) = sum w_j c_j^2 (r(s) - f_j) / sum w_j c_j with c_j = 1/(s - z_j); at a
+    support point z_k, sum_{j!=k} w_j (f_j - f_k)/(z_k - z_j) / w_k.  Summed in
+    extended precision: left of the samples the terms cancel by about 1e6."""
+    w, f = (np.asarray(v, dtype=np.clongdouble) for v in (model.weights, model.values))
+    d = np.clongdouble(s) - model.support
+    if np.any(d == 0):
+        k, off = np.argmin(np.abs(d)), d != 0
+        return complex((w[off] * (f[off] - f[k]) / d[off]).sum() / w[k])
+    c = 1.0 / d
+    r = (w * f * c).sum() / (w * c).sum()
+    return complex((w * c * c * (r - f)).sum() / (w * c).sum())

@@ -600,6 +600,9 @@ def model_from_spec(spec) -> CatalogModel:
     if isinstance(spec, str):
         spec = json.loads(spec)
     name = spec.get("model")
+    for key in {"hurwitz": ("a",), "pcf": ("a",), "chf": ("a", "b")}.get(name, ()):
+        if key not in spec:
+            raise DomainError(f"model {name!r} needs parameter {key!r} (--{key})")
     if name == "riemann":
         return riemann_model()
     if name == "hurwitz":

@@ -15,7 +15,7 @@ from . import __version__
 from .aaa import aaa_fit, bary_eval, derivative_at, find_real_features
 from .asym import classify_poles, l_asy_eval, zeta_int_leq_alpha
 from .catalog import ln_gamma_continued, model_from_spec
-from .errors import PoleError, ZetakitError
+from .errors import ZetakitError
 from .evaluate import contour_zeta, continued_zeta, zeta_series
 from .series import log_coeffs, zeta_pos_int, zeta_via_bell
 from .shift import ShiftParams, shifted_values
@@ -51,10 +51,9 @@ def _build_model(args):
     if spec.startswith("{"):
         return model_from_spec(spec)
     doc = {"model": spec}
-    if args.a is not None:
-        doc["a"] = complex(args.a) if "j" in str(args.a) else float(args.a)
-    if args.b is not None:
-        doc["b"] = complex(args.b) if "j" in str(args.b) else float(args.b)
+    for key, text in (("a", args.a), ("b", args.b)):
+        if text is not None:
+            doc[key] = complex(text) if "j" in str(text) else float(text)
     return model_from_spec(doc)
 
 
@@ -136,10 +135,7 @@ def cmd_values(args) -> int:
 
 
 def _params_doc(model):
-    out = {}
-    for k, v in model.params.items():
-        out[k] = _cjson(v) if isinstance(v, complex) else v
-    return out
+    return {k: _cjson(v) if isinstance(v, complex) else v for k, v in model.params.items()}
 
 
 def cmd_poles(args) -> int:
@@ -215,13 +211,8 @@ def cmd_shift(args) -> int:
 def _point_command(args, which: str) -> int:
     model = _build_model(args)
     s = _cnum(args.s)
-    kw = {}
-    if args.R is not None:
-        kw["R"] = args.R
-    if args.tmax is not None:
-        kw["t_max"] = args.tmax
-    if args.tol is not None:
-        kw["quad_tol"] = args.tol
+    kw = {key: v for key, v in (("R", args.R), ("t_max", args.tmax), ("quad_tol", args.tol))
+          if v is not None}
     if which == "series":
         val = zeta_series(model.zeros, s, args.nterms)
     elif which == "contour":
@@ -364,9 +355,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ZetakitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,58 +1,57 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from zetakit import (BarycentricModel, DomainError, aaa_fit, airy_zeros,
                      bary_eval, continued_zeta, derivative_at,
-                     find_real_features, zeta_series)
-from zetakit.aaa import _bisect_real_root
+                     find_real_features, hurwitz_model, zeta_series)
 
 
-def _scalar_scan(model, interval, step=1e-3):
-    """The point-by-point scan find_real_features replaced, kept as a reference."""
-    lo, hi = float(interval[0]), float(interval[1])
-    n = max(8, int(math.ceil((hi - lo) / step)))
-    grid = np.linspace(lo, hi, n + 1)
-    keep = np.ones(len(grid), dtype=bool)
-    for zj in model.support:
-        keep &= np.abs(grid - zj) > 1e-6
-    grid = grid[keep]
-
-    def num_den(x):
-        c = 1.0 / (x - model.support)
-        return (np.sum(model.weights * model.values * c),
-                np.sum(model.weights * c))
-
-    nums = np.empty(len(grid), dtype=complex)
-    dens = np.empty(len(grid), dtype=complex)
-    for i, x in enumerate(grid):
-        nums[i], dens[i] = num_den(x)
-    zeros, poles = [], []
-    nr = nums.real
-    dr = dens.real
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        if nr[i] * nr[i + 1] < 0:
-            root = _bisect_real_root(lambda x: num_den(x)[0].real, a, b)
-            if abs(num_den(root)[1]) > 1e-12:
-                zeros.append(root)
-        if dr[i] * dr[i + 1] < 0:
-            root = _bisect_real_root(lambda x: num_den(x)[1].real, a, b)
-            if abs(num_den(root)[0]) > 1e-12:
-                poles.append(root)
-    return zeros, poles
-
-
-def _near_support_root_model():
-    # r(s) = (s + 1 + 4e-7) / (s - q), q = -2.4567, in barycentric form on the
-    # support {z1, 0.5} with z1 = -1 + 3e-7; w1 / w2 = (q - z1) / (0.5 - q)
-    # puts the zero of the denominator at q.  The zero of r lies 7e-7 from
-    # z1, next to the grid point -1, which the scan masks.
-    q = -2.4567
+def _near_support_root_model(q=-2.4567):
+    # r(s) = (s + 1 + 4e-7) / (s - q) in barycentric form on the support
+    # {z1, 0.5} with z1 = -1 + 3e-7; w1 / w2 = (q - z1) / (0.5 - q) puts the
+    # zero of the denominator at q.  The zero of r lies 7e-7 from z1.
     z = np.array([-1.0 + 3e-7, 0.5])
     w = np.array([-2.0 * (q - z[0]) / (0.5 - q), -2.0 + 0j])
     return BarycentricModel(z, (z + 1.0 + 4e-7) / (z - q), w)
+
+
+def _toy_fit():
+    pts = np.linspace(2, 8, 50)
+    return aaa_fit(pts, 1.0 / (pts + 2.0), rel_tol=1e-13)
+
+
+def _degree_five_fit():
+    num = np.random.default_rng(73).uniform(-1, 1, 4)
+    pts = np.linspace(0.0, 1.0, 40)
+
+    def f(x):
+        return np.polyval(num, x) / ((x + 1.5) * (x + 3.0))
+
+    return f, aaa_fit(pts, f(pts), rel_tol=1e-13)
+
+
+def _mp_root(z, a, x0):
+    """The 50-digit root near x0 of sum_j a_j / (x - z_j)."""
+    with mp.workdps(50):
+        terms = [(mp.mpc(complex(aj)), mp.mpf(float(zj))) for aj, zj in zip(a, z)]
+        return complex(mp.findroot(lambda x: mp.fsum(aj / (x - zj) for aj, zj in terms),
+                                   mp.mpf(x0)))
+
+
+def _mp_derivative(model, s):
+    """mp.diff of the barycentric form at 50 digits (it samples s +- h only)."""
+    with mp.workdps(50):
+        terms = [(mp.mpc(complex(w)), mp.mpc(complex(f)), mp.mpf(float(z)))
+                 for w, f, z in zip(model.weights, model.values, model.support)]
+
+        def r(x):
+            return (mp.fsum(w * f / (x - z) for w, f, z in terms)
+                    / mp.fsum(w / (x - z) for w, f, z in terms))
+
+        return complex(mp.diff(r, mp.mpf(s)))
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,7 @@ def airy_fit(airy):
 
 class TestFit:
     def test_toy_rational_exact(self):
-        pts = np.linspace(2, 8, 50)
-        model = aaa_fit(pts, 1.0 / (pts + 2.0), rel_tol=1e-13)
+        model = _toy_fit()
         assert model.degree <= 3
         assert model.converged
         assert model.max_residual <= 1e-13
@@ -75,14 +73,7 @@ class TestFit:
         assert zeros == []
 
     def test_degree_five_rational_recovery(self):
-        rng = np.random.default_rng(73)
-        num = rng.uniform(-1, 1, 4)
-        pts = np.linspace(0.0, 1.0, 40)
-
-        def f(x):
-            return np.polyval(num, x) / ((x + 1.5) * (x + 3.0))
-
-        model = aaa_fit(pts, f(pts), rel_tol=1e-13)
+        f, model = _degree_five_fit()
         assert model.max_residual <= 1e-12
         grid = np.linspace(0.05, 0.95, 17)
         assert np.max(np.abs(np.array([bary_eval(model, x) for x in grid])
@@ -185,15 +176,58 @@ class TestFeatures:
         assert abs(in_zero_window[0] + 0.992) < 0.02
         assert abs(in_pole_window[0] + 1.42) < 0.02
 
-    def test_matches_scalar_scan(self, airy_fit):
-        toy = aaa_fit(np.linspace(2, 8, 50), 1.0 / (np.linspace(2, 8, 50) + 2.0))
-        near = _near_support_root_model()
-        cases = [(airy_fit[2], (-3.0, 0.0)), (toy, (-3.0, -1.0)), (toy, (-3.0, 0.0)),
-                 (near, (-3.0, 0.0)), (near, (-1.5, 0.3))]
+    def test_features_are_roots_of_the_sums(self, airy_fit):
+        cases = [(airy_fit[2], (-3.0, 0.0)), (_toy_fit(), (-3.0, 0.0)),
+                 (_degree_five_fit()[1], (-4.0, 1.0)), (_near_support_root_model(), (-3.0, 0.0))]
         for model, interval in cases:
-            got = find_real_features(model, interval)
-            assert got == _scalar_scan(model, interval)
-        assert any(abs(p + 2.4567) < 1e-9 for p in find_real_features(near, (-3.0, 0.0))[1])
+            zeros, poles = find_real_features(model, interval)
+            for found, a in ((zeros, model.weights * model.values), (poles, model.weights)):
+                for x in found:
+                    assert abs(x - _mp_root(model.support, a, x)) < 1e-8
+        zeros, poles = find_real_features(airy_fit[2], (-3.0, 0.0))
+        assert (len(zeros), len(poles)) == (2, 1)
+
+    def test_extrapolated_roots_reach_mpmath(self):
+        # Far left of the samples the sums cancel: eps * sum|a c| / |sum a c^2|
+        # is 5e-8 at the zero near -2.93, so the Newton sums need extended precision.
+        model = hurwitz_model(0.75)
+        pts = np.linspace(2.0, 8.0, 60)
+        fit = aaa_fit(pts, np.array([zeta_series(model.zeros, s, 10 ** 4) for s in pts]))
+        zeros, poles = find_real_features(fit, (-3.0, 0.0))
+        assert len(zeros) == 2 and poles == []
+        for x in zeros:
+            assert abs(x - _mp_root(fit.support, fit.weights * fit.values, x)) < 1e-10
+
+    def test_root_beside_a_support_point(self):
+        model = _near_support_root_model()
+        zeros, poles = find_real_features(model, (-3.0, 0.0))
+        assert len(zeros) == 1 and abs(zeros[0] - (-1.0 - 4e-7)) < 1e-9
+        assert len(poles) == 1 and abs(poles[0] + 2.4567) < 1e-9
+        assert all(abs(x - z) > 1e-7 for x in zeros + poles for z in model.support)
+
+    def test_pole_on_a_former_grid_point(self):
+        zeros, poles = find_real_features(_near_support_root_model(q=-2.5), (-3.0, 0.0))
+        assert len(poles) == 1 and abs(poles[0] + 2.5) < 1e-9
+        assert len(zeros) == 1 and abs(zeros[0] - (-1.0 - 4e-7)) < 1e-9
+
+    def test_zero_weight_sum(self):
+        # w = [1, -1]: the denominator (z2 - z1) / ((s - z1)(s - z2)) has no
+        # zero, and r = (1/s - 3/(s - 1)) / D vanishes at s = -1/2
+        model = BarycentricModel(np.array([0.0, 1.0]), np.array([1.0, 3.0 + 0j]),
+                                 np.array([1.0, -1.0 + 0j]))
+        zeros, poles = find_real_features(model, (-3.0, 0.0))
+        assert poles == [] and len(zeros) == 1 and abs(zeros[0] + 0.5) < 1e-15
+        flat = BarycentricModel(model.support, np.array([2.0, 2.0 + 0j]), model.weights)
+        assert find_real_features(flat, (-3.0, 3.0)) == ([], [])
+
+    def test_degree_one_and_linear_fits(self):
+        pts = np.linspace(0, 1, 10)
+        const = aaa_fit(pts, np.full(10, 2.7))
+        assert const.degree == 1
+        assert find_real_features(const, (-3.0, 3.0)) == ([], [])
+        line = aaa_fit(pts, 3.0 * pts + 1.0)
+        zeros, poles = find_real_features(line, (-3.0, 3.0))
+        assert poles == [] and len(zeros) == 1 and abs(zeros[0] + 1.0 / 3.0) < 1e-12
 
     def test_interval_validation(self, airy_fit):
         _, _, model = airy_fit
@@ -210,15 +244,24 @@ class TestDerivative:
     def test_zeta_prime_zero_four_digits(self, airy_fit):
         _, _, model = airy_fit
         ref = math.log(3 ** (2 / 3) * math.gamma(2 / 3) / (2 * math.sqrt(math.pi)))
-        got = derivative_at(model, 0.0, h=1e-6)
+        got = derivative_at(model, 0.0)
         assert abs(got - ref) < 5e-4
 
     def test_matches_continued_difference_quotient(self, airy, airy_fit):
         _, _, model = airy_fit
-        got = derivative_at(model, 3.0, h=1e-6)
+        got = derivative_at(model, 3.0)
         h = 1e-5
         ref = (continued_zeta(airy, 3.0 + h) - continued_zeta(airy, 3.0 - h)) / (2 * h)
         assert abs(got - ref) < 1e-5
+
+    def test_matches_mp_diff_of_barycentric_form(self, airy_fit):
+        _, _, model = airy_fit
+        for s in (0.0, 3.0, -0.5):
+            assert abs(derivative_at(model, s) - _mp_derivative(model, s)) < 1e-10
+        toy = _toy_fit()
+        zk = float(toy.support[1])
+        assert abs(derivative_at(toy, zk) - _mp_derivative(toy, zk)) < 1e-10
+        assert abs(derivative_at(toy, zk) + 1.0 / (zk + 2.0) ** 2) < 1e-10
 
 
 class TestCrossValidation:

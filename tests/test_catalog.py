@@ -297,3 +297,9 @@ class TestModelFromSpec:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             model_from_spec({"model": "bessel"})
+
+    def test_missing_parameter_rejected(self):
+        for spec, key in (({"model": "hurwitz"}, "a"), ({"model": "pcf"}, "a"),
+                          ({"model": "chf", "a": 0.5}, "b")):
+            with pytest.raises(DomainError, match=f"'{key}'"):
+                model_from_spec(spec)

@@ -146,6 +146,16 @@ class TestPointCommands:
         assert code == 1
         assert "pole" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("values", "--model", "pcf", "--n", "3"), "--a"),
+        (("continue", "--model", "hurwitz", "--s", "0.5"), "--a"),
+        (("poles", "--model", "chf", "--a", "0.5"), "--b")])
+    def test_missing_parameter_fails_cleanly(self, capsys, argv, flag):
+        # main returns instead of raising, so the shell shows no traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and flag in err
+
     def test_series_check_off_integers(self, capsys):
         code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
         assert code == 0
