@@ -377,14 +377,3 @@ def ray_tail_derivative(asym: AsymExpansion, t):
             out += base * lt ** (k - 1) * (k + x0 * lt)
     return out
 
-
-def asym_lnf_on_ray(asym: AsymExpansion, t):
-    """Truncated asymptotic value of ln F(t e^{i psi}) at real t > 0."""
-    t = np.asarray(t, dtype=float)
-    lt = np.log(t) + 1j * asym.psi
-    out = np.zeros(t.shape, dtype=complex)
-    for (j, k), djk in asym.d.items():
-        x0 = asym.location(j)
-        phase = cmath.exp(1j * x0 * asym.psi)
-        out += djk * phase * t ** x0 * lt ** k
-    return out

@@ -65,7 +65,7 @@ def _emit(args, doc, human_lines):
             print(line)
 
 
-def _value_entry(model, n: int, check: bool):
+def _value_entry(model, n: int, check: bool, kw: dict):
     alpha = model.asym.alpha
     report = classify_poles(model.asym)
     entry = {"n": n}
@@ -95,9 +95,9 @@ def _value_entry(model, n: int, check: bool):
         if method == "recursion" and 2 <= n <= 20:
             other = zeta_via_bell(model.series, n)
         elif model.log_deriv is not None and n != 0:
-            other = continued_zeta(model, float(n))
+            other = continued_zeta(model, float(n), **kw)
         elif model.log_deriv is not None:
-            other = continued_zeta(model, 1e-6)
+            other = continued_zeta(model, 1e-6, **kw)
         if other is not None:
             entry["check_discrepancy"] = abs(val - other)
     return entry
@@ -106,11 +106,12 @@ def _value_entry(model, n: int, check: bool):
 def cmd_values(args) -> int:
     model = _build_model(args)
     ns = _parse_n_range(args.n)
+    kw = _ray_options(args)
     entries = []
     failures = []
     for n in ns:
         try:
-            entries.append(_value_entry(model, n, args.check))
+            entries.append(_value_entry(model, n, args.check, kw))
         except ZetakitError as exc:
             failures.append((n, str(exc)))
     lines = []
@@ -208,11 +209,16 @@ def cmd_shift(args) -> int:
     return 0
 
 
+def _ray_options(args) -> dict:
+    """--R, --tmax and --tol as keywords of contour_zeta / continued_zeta."""
+    return {key: v for key, v in (("R", args.R), ("t_max", args.tmax), ("quad_tol", args.tol))
+            if v is not None}
+
+
 def _point_command(args, which: str) -> int:
     model = _build_model(args)
     s = _cnum(args.s)
-    kw = {key: v for key, v in (("R", args.R), ("t_max", args.tmax), ("quad_tol", args.tol))
-          if v is not None}
+    kw = _ray_options(args)
     if which == "series":
         val = zeta_series(model.zeros, s, args.nterms)
     elif which == "contour":

@@ -136,32 +136,36 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
         return total
     eipsi = cmath.exp(1j * asym.psi)
 
-    def integrand(t, subtract=True):
-        t = np.asarray(t, dtype=float)
-        ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
+    def log_deriv(t):
+        return np.asarray(model.log_deriv(t * eipsi), dtype=complex)
+
+    def integrand(t, ld, subtract):
         if subtract:
             return t ** (-s) * (eipsi * ld - ray_tail_derivative(asym, t))
         return t ** (-s) * eipsi * ld
 
-    def noise_floor(t):
+    def noise_floor(t, ld):
         # size of the quantities being differenced, times an ulp
-        t = np.asarray(t, dtype=float)
-        ld = np.asarray(model.log_deriv(t * eipsi), dtype=complex)
         return float(np.max(t ** (-s.real) * np.abs(ld))) * 2e-16
 
     t_up = min(max(3.0 * R, 6.0), t_max)
     while t_up < t_max:
         pts = np.array([0.7 * t_up, t_up])
-        probe = float(np.max(np.abs(integrand(pts))))
-        if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts):
+        ld = log_deriv(pts)         # once per probe, for the probe and its floor
+        probe = float(np.max(np.abs(integrand(pts, ld, True))))
+        if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts, ld):
             break
         t_up *= 2.0
     t_up = min(t_up, t_max)
-    eff_tol = max(tol, 3.0 * t_up * noise_floor(np.array([t_up])))
+    # the floor at T is taken at T alone: the digamma-based evaluators shift a
+    # whole array by one recurrence count, so F'/F at T inside the probe pair
+    # can differ from it in the last bit
+    t = np.array([t_up])
+    eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
     if not continued:
         total += l_asy_eval(asym, s, t_up)
-    ray = quad_adaptive(lambda t: integrand(t, continued), R, t_up, abs_tol=eff_tol,
-                        initial_points=_geometric_points(R, t_up))
+    ray = quad_adaptive(lambda t: integrand(t, log_deriv(t), continued), R, t_up,
+                        abs_tol=eff_tol, initial_points=_geometric_points(R, t_up))
     return total + ray_prefactor(s, asym.psi) * ray
 
 

@@ -1,13 +1,14 @@
 """Adaptive complex quadrature, Gauss rules and Euler-Maclaurin tails.
 
 The integrator is a Gauss-Kronrod 7/15 pair with interval bisection driven
-by the embedded error estimate.  Integrands receive a numpy array of nodes
-and must return an array of complex values; segments are accumulated in
-deterministic (left-to-right) order so results are bit-stable.  The tail
-integral is a product-integration rule on Gauss-Legendre nodes.
+by the embedded error estimate, vectorized after Shampine (J. Comput. Appl.
+Math. 211, 2008): the integrand receives the nodes of every panel a
+refinement round evaluates as one 1-d array, and must return an array of
+complex values of the same length.  Panels are summed in deterministic
+(left-to-right) order so results are bit-stable.  The tail integral is a
+product-integration rule on Gauss-Legendre nodes.
 """
 
-import heapq
 import math
 from functools import lru_cache
 
@@ -62,16 +63,23 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=complex)
-    if not np.all(np.isfinite(y)):
-        raise DivergenceError(f"non-finite integrand on [{a}, {b}]")
-    k = half * np.sum(_WK * y)
-    g = half * np.sum(_WG * y[1::2])
-    return complex(k), abs(k - g)
+def _gk15(f, lo, hi):
+    """GK15 on every panel [lo[i], hi[i]] with one call of f.
+
+    f receives the (panels x 15) nodes as one flattened 1-d array.
+    Returns the per-panel Kronrod values and |Kronrod - Gauss| estimates.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _XK
+    y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    bad = ~np.isfinite(y).all(1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DivergenceError(f"non-finite integrand on [{lo[i]}, {hi[i]}]")
+    k = half * (_WK * y).sum(1)
+    g = half * (_WG * y[:, 1::2]).sum(1)
+    return k, np.abs(k - g)
 
 
 def quad_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
@@ -79,44 +87,45 @@ def quad_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     """Integrate a complex-valued f over [a, b] to an absolute tolerance.
 
     ``initial_points`` may pre-split the interval (useful for integrands
-    with known phase structure).
+    with known phase structure).  Each round splits the panels with the
+    largest error estimates, in that order, until the unsplit ones carry at
+    most half of ``abs_tol``, and evaluates all the halves in one call of f.
     """
     if a == b:
         return 0.0 + 0.0j
-    pts = [a, b] if initial_points is None else sorted(
-        {a, b, *(p for p in initial_points if a < p < b)})
-    heap = []
-    segments = {}
-    counter = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _gk15(f, lo, hi)
-        segments[counter] = (lo, hi, val, err)
-        heapq.heappush(heap, (-err, counter))
-        counter += 1
+    pts = np.array([a, b] if initial_points is None else sorted(
+        {a, b, *(p for p in initial_points if a < p < b)}), dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    val, err = _gk15(f, lo, hi)
     while True:
-        total_err = sum(s[3] for s in segments.values())
-        if total_err <= abs_tol or len(segments) >= max_segments:
+        total_err = float(err.sum())
+        if total_err <= abs_tol or len(lo) >= max_segments:
             break
-        _, idx = heapq.heappop(heap)
-        if idx not in segments:
-            continue
-        lo, hi, _, err = segments.pop(idx)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at roundoff resolution; keep as-is
-            segments[idx] = (lo, hi, _, err)
+        order = np.argsort(-err, kind="stable")
+        # split order[:j] while the error left in order[j:] exceeds abs_tol / 2
+        unsplit = np.cumsum(err[order][::-1])[::-1]
+        split = order[:min(np.count_nonzero(unsplit > 0.5 * abs_tol), max_segments - len(lo))]
+        mid = 0.5 * (lo[split] + hi[split])
+        # a panel at roundoff resolution is kept as-is and ends the refinement
+        stuck = (mid <= lo[split]) | (mid >= hi[split])
+        if stuck.any():
+            n = int(np.argmax(stuck))
+            split, mid = split[:n], mid[:n]
+        if len(split):
+            keep = np.ones(len(lo), dtype=bool)
+            keep[split] = False
+            new = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])))
+            new += _gk15(f, *new)
+            lo, hi, val, err = [np.concatenate((old[keep], part))
+                                for old, part in zip((lo, hi, val, err), new)]
+        if stuck.any():
             break
-        for (l2, h2) in ((lo, mid), (mid, hi)):
-            val2, err2 = _gk15(f, l2, h2)
-            segments[counter] = (l2, h2, val2, err2)
-            heapq.heappush(heap, (-err2, counter))
-            counter += 1
-    total_err = sum(s[3] for s in segments.values())
+    total_err = float(err.sum())
     if total_err > 100.0 * abs_tol:
         raise AccuracyError(
             f"quadrature error estimate {total_err:.2e} exceeds tolerance {abs_tol:.2e}")
-    vals = [s[2] for s in sorted(segments.values(), key=lambda s: s[0])]
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    vals = val[np.argsort(lo, kind="stable")]
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
 def _jacobi(n: int, beta: float, x):

@@ -8,7 +8,6 @@ import pytest
 from zetakit import (DomainError, EULER_GAMMA, airy_zeros, chf_model,
                      hurwitz_model, log_coeffs, model_from_spec, pcf_model,
                      zeta_int_leq_alpha, zeta_pos_int)
-from zetakit.asym import asym_lnf_on_ray
 from zetakit.catalog import airy_eval, airy_zero_seed
 
 from conftest import ln_f_on_ray, rel_err
@@ -261,6 +260,17 @@ class TestChfModel:
 
     def test_branch_note_recorded(self, chf_half):
         assert any("k = 0" in note for note in chf_half.notes)
+
+
+def asym_lnf_on_ray(asym, t):
+    """Truncated asymptotic value of ln F(t e^{i psi}) at real t > 0."""
+    t = np.asarray(t, dtype=float)
+    lt = np.log(t) + 1j * asym.psi
+    out = np.zeros(t.shape, dtype=complex)
+    for (j, k), djk in asym.d.items():
+        x0 = asym.location(j)
+        out += djk * cmath.exp(1j * x0 * asym.psi) * t ** x0 * lt ** k
+    return out
 
 
 class TestAsymptoticValidity:

@@ -52,6 +52,16 @@ class TestValues:
                                                      rel=1e-12)
         assert entry["check_discrepancy"] < 1e-9
 
+    def test_check_passes_ray_options(self, capsys):
+        # pcf knows no zero-free radius: the check route needs the given --R
+        code, doc, err = run_json(capsys, "values", "--model", "pcf", "--a", "1",
+                                  "--n=-2..3", "--check", "--R", "0.9",
+                                  "--tmax", "300", "--tol", "1e-11")
+        assert code == 0 and err == ""
+        assert [e["n"] for e in doc["results"]] == [-2, -1, 0, 1, 2, 3]
+        for e in doc["results"]:
+            assert e["check_discrepancy"] < (1e-5 if e["n"] == 0 else 1e-9)
+
     def test_pole_row(self, capsys):
         code, doc, _ = run_json(capsys, "values", "--model", "riemann", "--n", "1")
         assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from zetakit import (ConditioningWarning, DomainError, PoleError,
                      SlowConvergenceError, StripError, contour_zeta,
-                     continued_zeta, zeta_pos_int, zeta_series)
+                     continued_zeta, hurwitz_model, zeta_pos_int, zeta_series)
 
 from conftest import rel_err
 
@@ -172,3 +173,52 @@ class TestContinuedZeta:
             z0 = classify_poles(model.asym).zeta0
             near = continued_zeta(model, 1e-6)
             assert abs(near - z0) < 1e-4
+
+
+def _counting(model):
+    """model with a log_deriv that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def log_deriv(z):
+        calls[0] += 1
+        return model.log_deriv(z)
+
+    return dataclasses.replace(model, log_deriv=log_deriv), calls
+
+
+class TestCallBudget:
+    """log_deriv calls per value: the circle, the cutoff probes and one call
+    per quadrature round.  Counts, so independent of the machine."""
+
+    BUDGET = 20
+
+    def _check(self, model, fn, s, **kw):
+        counted, calls = _counting(model)
+        val = fn(counted, s, **kw)
+        assert calls[0] <= self.BUDGET
+        return val
+
+    def test_airy(self, airy):
+        assert abs(self._check(airy, continued_zeta, -0.5) - (-0.1393)) < 2e-4
+
+    def test_riemann(self, riemann):
+        got = self._check(riemann, continued_zeta, -0.5)
+        assert abs(got - complex(mp.zeta(-0.5))) < 1e-10
+
+    def test_hurwitz_complex(self):
+        s = 0.3 + 2.5j
+        got = self._check(hurwitz_model(0.3), continued_zeta, s)
+        assert abs(got - complex(mp.zeta(s, mp.mpf("0.3")))) < 1e-7
+
+    def test_pcf(self, pcf_one):
+        # no closed form at -1/2: the value must not depend on the radius
+        got = self._check(pcf_one, continued_zeta, -0.5, R=1.0)
+        assert abs(got - continued_zeta(pcf_one, -0.5, R=0.9)) < 1e-7
+
+    def test_chf(self, chf_half):
+        got = self._check(chf_half, continued_zeta, 0.5, R=0.9)
+        assert abs(got - continued_zeta(chf_half, 0.5, R=0.8)) < 1e-7
+
+    def test_riemann_contour(self, riemann):
+        got = self._check(riemann, contour_zeta, 2.5)
+        assert abs(got - complex(mp.zeta(2.5))) < 1e-10

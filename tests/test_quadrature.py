@@ -1,10 +1,14 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetakit import DivergenceError, airy_zeros, euler_maclaurin_tail, quad_adaptive
+from zetakit import (AccuracyError, DivergenceError, airy_zeros, continued_zeta,
+                     euler_maclaurin_tail, quad_adaptive)
+from zetakit import evaluate
+from zetakit.quadrature import _WG, _WK, _XK
 
 
 def _power_tail(s):
@@ -25,6 +29,132 @@ class TestQuadAdaptive:
         val = quad_adaptive(lambda x: np.abs(x), -1.0, 1.0, abs_tol=1e-13,
                             initial_points=[0.0])
         assert val == pytest.approx(1.0, abs=1e-13)
+
+
+def _greedy_quad(f, a, b, abs_tol, max_segments=4096, initial_points=None):
+    """Reference: one GK15 panel per call of f, always splitting the panel
+    with the largest error estimate, until the total is within abs_tol, the
+    cap is reached or that panel is at roundoff resolution."""
+    def gk15(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        y = np.asarray(f(mid + half * _XK), dtype=complex)
+        k = half * np.sum(_WK * y)
+        return complex(k), abs(k - half * np.sum(_WG * y[1::2]))
+
+    pts = [a, b] if initial_points is None else sorted(
+        {a, b, *(p for p in initial_points if a < p < b)})
+    segments, heap = {}, []
+    for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:])):
+        segments[i] = (lo, hi, *gk15(lo, hi))
+        heapq.heappush(heap, (-segments[i][3], i))
+    counter = len(segments)
+    while sum(s[3] for s in segments.values()) > abs_tol and len(segments) < max_segments:
+        idx = heapq.heappop(heap)[1]
+        lo, hi = segments[idx][:2]
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        del segments[idx]
+        for l2, h2 in ((lo, mid), (mid, hi)):
+            segments[counter] = (l2, h2, *gk15(l2, h2))
+            heapq.heappush(heap, (-segments[counter][3], counter))
+            counter += 1
+    vals = [s[2] for s in sorted(segments.values())]
+    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+
+
+class _Recorder:
+    """Wraps an integrand; records the length of each node array it gets."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1
+        self.sizes.append(len(x))
+        return self.f(x)
+
+    def final_panels(self, initial):
+        # every split replaces one panel by two, and both are evaluated
+        return (sum(self.sizes) // 15 + initial) // 2
+
+
+def _airy_ray_call(airy, monkeypatch):
+    """(integrand, a, b, keywords) of the ray integral in continued_zeta(airy, -0.5)."""
+    calls = []
+
+    def spy(f, a, b, **kw):
+        calls.append((f, a, b, kw))
+        return quad_adaptive(f, a, b, **kw)
+
+    monkeypatch.setattr(evaluate, "quad_adaptive", spy)
+    continued_zeta(airy, -0.5)
+    return calls[-1]
+
+
+class TestBatchedRounds:
+    CASES = {
+        "oscillatory": (lambda x: np.exp(1j * x ** 2), 0.0, 12.0,
+                        {"abs_tol": 1e-12}),
+        "kink": (np.abs, -1.0, 1.0, {"abs_tol": 1e-13}),
+        "kink_presplit": (np.abs, -1.0, 1.0, {"abs_tol": 1e-13, "initial_points": [0.0]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_greedy_reference(self, case):
+        f, a, b, kw = self.CASES[case]
+        rec = _Recorder(f)
+        got = quad_adaptive(rec, a, b, **kw)
+        assert abs(got - _greedy_quad(f, a, b, **kw)) <= kw["abs_tol"]
+        assert rec.sizes and all(n % 15 == 0 for n in rec.sizes)
+        assert got == quad_adaptive(f, a, b, **kw)      # bit-identical on a second call
+
+    def test_airy_ray_integrand(self, airy, monkeypatch):
+        f, a, b, kw = _airy_ray_call(airy, monkeypatch)
+        rec, ref_rec = _Recorder(f), _Recorder(f)
+        got = quad_adaptive(rec, a, b, **kw)
+        assert abs(got - _greedy_quad(ref_rec, a, b, **kw)) <= kw["abs_tol"]
+        assert all(n % 15 == 0 for n in rec.sizes)
+        # one call per round, against one per panel in the reference
+        assert 2 * len(rec.sizes) <= len(ref_rec.sizes)
+        assert got == quad_adaptive(f, a, b, **kw)
+
+    @pytest.mark.parametrize("max_segments", [1, 2, 7, 40])
+    def test_segment_cap_never_exceeded(self, max_segments):
+        rec = _Recorder(lambda x: np.exp(1j * x ** 2))
+        with pytest.raises(AccuracyError):
+            quad_adaptive(rec, 0.0, 40.0, abs_tol=1e-14, max_segments=max_segments)
+        assert rec.final_panels(1) == max_segments
+
+    def test_cap_reached_by_presplit_interval(self):
+        rec = _Recorder(lambda x: np.exp(1j * x ** 2))
+        with pytest.raises(AccuracyError):
+            quad_adaptive(rec, 0.0, 40.0, abs_tol=1e-14, max_segments=5,
+                          initial_points=[10.0, 20.0, 30.0])
+        assert rec.final_panels(4) == 5
+
+    def test_nan_names_its_panel(self):
+        def f(x):
+            return np.where(x > 0.8, np.nan, 1.0)
+
+        with pytest.raises(DivergenceError, match=r"\[0\.75, 1\.0\]"):
+            quad_adaptive(f, 0.0, 1.0, initial_points=[0.25, 0.5, 0.75])
+
+    def test_nan_in_a_later_round(self):
+        # finite on [0, 1]; the nan node belongs to the child [0.5, 1]
+        def f(x):
+            return np.where(x == 0.75 + 0.25 * _XK[3], np.nan, np.exp(30j * x * x))
+
+        with pytest.raises(DivergenceError, match=r"\[0\.5, 1\.0\]"):
+            quad_adaptive(f, 0.0, 1.0, abs_tol=1e-14)
+
+    def test_roundoff_resolution_stop(self):
+        # a jump in the middle of a one-ulp panel: its midpoint rounds onto an
+        # end, so the panel cannot be split and the refinement stops at once
+        rec = _Recorder(lambda x: np.where(np.arange(x.size) % 15 < 7, 0.0, 1.0) + 0j)
+        with pytest.raises(AccuracyError):
+            quad_adaptive(rec, 1.0, math.nextafter(1.0, 2.0), abs_tol=1e-300)
+        assert rec.sizes == [15]
 
 
 class TestEulerMaclaurinTail:
