@@ -90,6 +90,12 @@ def quad_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     with known phase structure).  Each round splits the panels with the
     largest error estimates, in that order, until the unsplit ones carry at
     most half of ``abs_tol``, and evaluates all the halves in one call of f.
+    When a round wants more splits than ``max_segments`` leaves room for,
+    it splits only the panel with the largest estimate, as a
+    one-panel-per-call loop would; even so, the cap is spread over more
+    panels than such a loop uses, so it can end further from ``abs_tol``.
+    A panel at roundoff resolution is kept as it is; the refinement ends
+    when it has the largest estimate.
     """
     if a == b:
         return 0.0 + 0.0j
@@ -97,29 +103,23 @@ def quad_adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
         {a, b, *(p for p in initial_points if a < p < b)}), dtype=float)
     lo, hi = pts[:-1], pts[1:]
     val, err = _gk15(f, lo, hi)
-    while True:
-        total_err = float(err.sum())
-        if total_err <= abs_tol or len(lo) >= max_segments:
-            break
+    while float(err.sum()) > abs_tol and len(lo) < max_segments:
         order = np.argsort(-err, kind="stable")
         # split order[:j] while the error left in order[j:] exceeds abs_tol / 2
         unsplit = np.cumsum(err[order][::-1])[::-1]
-        split = order[:min(np.count_nonzero(unsplit > 0.5 * abs_tol), max_segments - len(lo))]
+        want = np.count_nonzero(unsplit > 0.5 * abs_tol)
+        split = order[:want if len(lo) + want <= max_segments else 1]
         mid = 0.5 * (lo[split] + hi[split])
-        # a panel at roundoff resolution is kept as-is and ends the refinement
-        stuck = (mid <= lo[split]) | (mid >= hi[split])
-        if stuck.any():
-            n = int(np.argmax(stuck))
-            split, mid = split[:n], mid[:n]
-        if len(split):
-            keep = np.ones(len(lo), dtype=bool)
-            keep[split] = False
-            new = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])))
-            new += _gk15(f, *new)
-            lo, hi, val, err = [np.concatenate((old[keep], part))
-                                for old, part in zip((lo, hi, val, err), new)]
-        if stuck.any():
+        splittable = (lo[split] < mid) & (mid < hi[split])
+        if not splittable[0]:
             break
+        split, mid = split[splittable], mid[splittable]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo2, hi2 = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        v2, e2 = _gk15(f, lo2, hi2)
+        lo, hi = np.concatenate((lo[keep], lo2)), np.concatenate((hi[keep], hi2))
+        val, err = np.concatenate((val[keep], v2)), np.concatenate((err[keep], e2))
     total_err = float(err.sum())
     if total_err > 100.0 * abs_tol:
         raise AccuracyError(

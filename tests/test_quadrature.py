@@ -156,6 +156,31 @@ class TestBatchedRounds:
             quad_adaptive(rec, 1.0, math.nextafter(1.0, 2.0), abs_tol=1e-300)
         assert rec.sizes == [15]
 
+    def test_unsplittable_panel_below_the_top(self):
+        # [1, 1 + ulp] cannot be split; a spike at x = 1 gives it an estimate
+        # of 1e-13, ten times abs_tol but far below that of the oscillatory
+        # panels beside it, which must go on being refined around it
+        f = lambda x: np.exp(30j * x * x) + 1e4 * (x == 1.0)
+        kw = {"abs_tol": 1e-14, "initial_points": [1.0, math.nextafter(1.0, 2.0)]}
+        got = quad_adaptive(f, 0.0, 2.0, **kw)
+        assert abs(got - _greedy_quad(f, 0.0, 2.0, **kw)) <= kw["abs_tol"]
+
+    def test_cap_spread_over_more_panels_than_greedy(self):
+        # rounds split panels that the greedy loop leaves for later, so when
+        # the cap binds they can end further from abs_tol: here the greedy
+        # loop ends within 100 abs_tol and the rounds do not
+        c, d = 1.0 / 3.0, 0.3 * math.ulp(1.0 / 3.0)
+        f = lambda x: np.abs((x - c) - d) ** -0.5 + 0j
+        kw = {"abs_tol": 1e-13, "max_segments": 500}
+        assert _greedy_quad(f, 0.0, 1.0, **kw) == pytest.approx(2.7876936886619945, abs=1e-13)
+        rec = _Recorder(f)
+        with pytest.raises(AccuracyError):
+            quad_adaptive(rec, 0.0, 1.0, **kw)
+        assert rec.final_panels(1) == kw["max_segments"]
+        # once the cap leaves less room than a round wants, each call
+        # evaluates the two halves of the panel with the largest estimate
+        assert rec.sizes[-2:] == [30, 30]
+
 
 class TestEulerMaclaurinTail:
     def test_inverse_square_oracle(self):
