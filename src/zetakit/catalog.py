@@ -21,9 +21,8 @@ import numpy as np
 
 from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
-from .kernels import (EULER_GAMMA, bernoulli_number, digamma,
-                      digamma_polygamma, gamma)
-from .quadrature import euler_maclaurin_tail, gauss_jacobi
+from .kernels import bernoulli_number, digamma, digamma_polygamma, gamma
+from .quadrature import gauss_jacobi
 from .series import PowerSeries, series_exp
 
 RIEMANN_PSI = 3.0 * math.pi / 4.0
@@ -36,28 +35,28 @@ class ZeroSequence:
     """Deterministic generator of the first n sequence elements.
 
     The first ``n_exact`` elements come from refined numerics, the rest from
-    the closed asymptotic formula.  ``tail_fn`` is the smooth continuation
-    used by the Euler-Maclaurin tail: x -> (g, g', g'', g''') with
-    g(n) = a_n for n past the exact block.
+    the closed asymptotic formula.  ``g`` is the smooth continuation used by
+    the Euler-Maclaurin tail, g(n) = a_n for n past the exact block: it maps
+    an array x to g(x).  ``dg`` maps one x to (g', g'', g''').
     """
 
     alpha: float
     n_exact: int
     exact_fn: object
     asym_fn: object
-    tail_fn: object
+    g: object
+    dg: object
     _cache: dict = field(default_factory=dict, compare=False)
 
     def values(self, count: int) -> np.ndarray:
-        key = "vals"
-        have = self._cache.get(key)
+        have = self._cache.get("vals")
         if have is not None and len(have) >= count:
             return have[:count]
         n_ex = min(count, self.n_exact)
         exact = [self.exact_fn(n) for n in range(1, n_ex + 1)]
         rest = [self.asym_fn(n) for n in range(n_ex + 1, count + 1)]
         vals = np.asarray(exact + rest, dtype=complex)
-        self._cache[key] = vals
+        self._cache["vals"] = vals
         return vals
 
 
@@ -173,28 +172,17 @@ def _recip_gamma_pair(a: complex, z):
     return f, digamma_polygamma(0, w) * f
 
 
-def _zeta_int(k: int) -> float:
-    """zeta(k) for integer k >= 2 by direct summation plus tail estimate."""
-    if k == 2:
-        return math.pi ** 2 / 6.0
-    n0 = 40
-    head = math.fsum((n + 1.0) ** -k for n in range(n0))
-    s = float(k)
-    tail = euler_maclaurin_tail(
-        lambda t: t ** -s,
-        lambda t: -s * t ** (-s - 1.0),
-        lambda t: -s * (s + 1.0) * (s + 2.0) * t ** (-s - 3.0),
-        n0 + 1, s)
-    return head + tail.real
+def _unit_slope(x):
+    """(g', g'', g''') of the shifted integers g(x) = x + const."""
+    return 1.0, 0.0, 0.0
 
 
-def _riemann_series(order: int) -> PowerSeries:
-    # exponentiate -gamma_E z - sum_{k>=2} zeta(k) z^k / k
+def _hurwitz_log_series(a, order: int) -> np.ndarray:
+    """Taylor coefficients of ln(Gamma(a) / Gamma(a - z)): (-1)^(n-1) psi^(n-1)(a) / n!."""
     b = np.zeros(order + 1, dtype=complex)
-    b[1] = -EULER_GAMMA
-    for k in range(2, order + 1):
-        b[k] = -_zeta_int(k) / k
-    return PowerSeries(series_exp(b))
+    for n in range(1, order + 1):
+        b[n] = (-1.0) ** (n - 1) * digamma_polygamma(n - 1, a) / math.factorial(n)
+    return b
 
 
 def _riemann_asym(depth: int, psi: float) -> AsymExpansion:
@@ -211,7 +199,8 @@ def _riemann_asym(depth: int, psi: float) -> AsymExpansion:
 
 def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
     """Model for the sequence of positive integers."""
-    series = _riemann_series(order)
+    # 1/Gamma(1 - z); no division by Gamma(1), which the Lanczos kernel gives as 1 - 4e-16
+    series = PowerSeries(series_exp(_hurwitz_log_series(1.0, order)))
     asym = _riemann_asym(depth, RIEMANN_PSI)
 
     def log_deriv(z):
@@ -223,17 +212,10 @@ def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
     zeros = ZeroSequence(
         alpha=1.0, n_exact=0,
         exact_fn=lambda n: float(n), asym_fn=lambda n: float(n),
-        tail_fn=lambda x: (x, 1.0, 0.0, 0.0))
+        g=lambda x: x, dg=_unit_slope)
     forms = {0: "-1/2", -1: "-1/12"}
     return CatalogModel("riemann", {}, series, asym, zeros, eval_fn,
                         log_deriv, 1.0, forms)
-
-
-def _hurwitz_series(a: complex, order: int) -> PowerSeries:
-    b = np.zeros(order + 1, dtype=complex)
-    for n in range(1, order + 1):
-        b[n] = (-1.0) ** (n - 1) * digamma_polygamma(n - 1, a) / math.factorial(n)
-    return PowerSeries(series_exp(b) / gamma(a))
 
 
 def ln_gamma_continued(a: complex) -> complex:
@@ -263,7 +245,7 @@ def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
     ln_f_shift = -ln_gamma_continued(a)
     asym = omega_table(base, ShiftParams(1.0, a - 1.0), new_psi=RIEMANN_PSI,
                        ln_f_shifted=ln_f_shift)
-    series = _hurwitz_series(a, order)
+    series = PowerSeries(series_exp(_hurwitz_log_series(a, order)) / gamma(a))
 
     def log_deriv(z):
         return digamma(a - np.asarray(z, dtype=complex))
@@ -277,7 +259,7 @@ def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
     moduli = sorted(abs(a + k) for k in range(0, 64))
     zeros = ZeroSequence(
         alpha=1.0, n_exact=0, exact_fn=exact_fn, asym_fn=exact_fn,
-        tail_fn=lambda x: (x - 1.0 + a, 1.0, 0.0, 0.0))
+        g=lambda x: x - 1.0 + a, dg=_unit_slope)
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )
@@ -374,23 +356,28 @@ def _airy_zero_refine(n: int) -> float:
     raise RefinementError(f"Newton refinement stalled for Airy zero #{n}")
 
 
-def _airy_tail_fn(x):
+def _airy_g(x):
+    """airy_zero_seed continued to real x: u^(2/3) + (5/48) u^(-4/3)."""
+    u = 3.0 * math.pi * (4.0 * x - 1.0) / 8.0
+    return u ** (2.0 / 3.0) + (5.0 / 48.0) * u ** (-4.0 / 3.0)
+
+
+def _airy_dg(x):
     u = 3.0 * math.pi * (4.0 * x - 1.0) / 8.0
     du = 1.5 * math.pi
-    g = u ** (2.0 / 3.0) + (5.0 / 48.0) * u ** (-4.0 / 3.0)
     g1 = (2.0 / 3.0) * u ** (-1.0 / 3.0) - (5.0 / 36.0) * u ** (-7.0 / 3.0)
     g2 = -(2.0 / 9.0) * u ** (-4.0 / 3.0) + (35.0 / 108.0) * u ** (-10.0 / 3.0)
     g3 = (8.0 / 27.0) * u ** (-7.0 / 3.0) - (350.0 / 324.0) * u ** (-13.0 / 3.0)
-    return g, g1 * du, g2 * du * du, g3 * du ** 3
+    return g1 * du, g2 * du * du, g3 * du ** 3
 
 
-def airy_zeros(count: int, n_exact: int = 60) -> ZeroSequence:
-    """First ``count`` negated Airy zeros: Newton-refined head, formula tail."""
-    if count < n_exact:
-        raise DomainError("count must be >= n_exact")
+def airy_zeros(n_exact: int = 60) -> ZeroSequence:
+    """Negated Airy zeros: the first ``n_exact`` Newton-refined, the rest by formula."""
+    if n_exact < 0:
+        raise DomainError("n_exact must be >= 0")
     return ZeroSequence(alpha=1.5, n_exact=n_exact,
                         exact_fn=_airy_zero_refine, asym_fn=airy_zero_seed,
-                        tail_fn=_airy_tail_fn)
+                        g=_airy_g, dg=_airy_dg)
 
 
 def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogModel:
@@ -398,12 +385,11 @@ def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogMod
     if depth > 13:
         raise DomainError("airy depth supported up to 13")
     series = PowerSeries(_AIRY_C[:order + 1].astype(complex))
-    c_tail = [
-        (-1.5j) ** k * complex(gamma(k + 1.0 / 6.0)) * complex(gamma(k + 5.0 / 6.0))
-        / (2.0 * math.pi * (-2.0) ** k * math.factorial(k))
-        for k in range(1, depth + 1)
-    ]
-    p = log_compose(c_tail)
+    # c_k = (-3/2 i)^k Gamma(k + 1/6) Gamma(k + 5/6) / (2 pi (-2)^k k!): exact integer ratios
+    c_tail = [1.0 + 0.0j]
+    for k in range(1, depth + 1):
+        c_tail.append(c_tail[-1] * ((6 * k - 5) * (6 * k - 1) * 1j) / (48 * k))
+    p = log_compose(c_tail[1:])
     d = {(0, 0): -2j / 3.0,
          (3, 1): -0.25 + 0.0j,
          (3, 0): complex(-math.log(2.0 * math.sqrt(math.pi)), 0.25 * math.pi)}
@@ -421,38 +407,22 @@ def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogMod
         0: "-1/4", -3: "15/64",
     }
     return CatalogModel("airy", {"depth": depth}, series, asym,
-                        airy_zeros(10 ** 6, n_exact), airy_eval,
+                        airy_zeros(n_exact), airy_eval,
                         airy_log_deriv, 2.33810741045976, forms)
 
 
 # ---------------------------------------------------------------------------
 # Parabolic cylinder U(a, z)
 
-def _pcf_series_coeffs(a: float, order: int) -> np.ndarray:
-    pref = 2.0 ** ((2.0 * a - 3.0) / 4.0) / math.gamma(a + 0.5)
+def _pcf_taylor_coeffs(a: float, order: int) -> np.ndarray:
+    """c_0..c_order of U(a, z) from U(a, 0) and U'(a, 0) (DLMF 12.2.6-7) and
+    U'' = (z^2/4 + a) U: (n+1)(n+2) c_{n+2} = a c_n + c_{n-2}/4."""
     c = np.zeros(order + 1, dtype=complex)
-    for j in range(order // 2 + 1):
-        if 2 * j <= order:
-            acc = 0.0
-            for l in range(j + 1):
-                acc += ((-1.0) ** (j - l) * 2.0 ** l
-                        / (4.0 ** (j - l) * math.factorial(2 * l)
-                           * math.factorial(j - l))) * math.gamma(l + (2 * a + 1) / 4.0)
-            c[2 * j] = pref * acc
-        if 2 * j + 1 <= order:
-            acc = 0.0
-            for l in range(j + 1):
-                acc += ((-1.0) ** (j - l) * 2.0 ** (l + 0.5)
-                        / (4.0 ** (j - l) * math.factorial(2 * l + 1)
-                           * math.factorial(j - l))) * math.gamma(l + (2 * a + 3) / 4.0)
-            c[2 * j + 1] = -pref * acc
+    c[0] = math.sqrt(math.pi) / (2.0 ** (0.5 * a + 0.25) * math.gamma(0.75 + 0.5 * a))
+    c[1] = -math.sqrt(math.pi) / (2.0 ** (0.5 * a - 0.25) * math.gamma(0.25 + 0.5 * a))
+    for n in range(order - 1):
+        c[n + 2] = (a * c[n] + (0.25 * c[n - 2] if n >= 2 else 0.0)) / ((n + 1) * (n + 2))
     return c
-
-
-def _pcf_tail_coeffs(a: float, depth: int) -> list:
-    return [(-1.0) ** n * math.gamma(2 * n + a + 0.5)
-            / (2.0 ** n * math.factorial(n) * math.gamma(a + 0.5))
-            for n in range(1, depth + 1)]
 
 
 def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
@@ -468,16 +438,20 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     a = float(a)
     if a <= -0.5:
         raise DomainError("pcf model requires a > -1/2")
-    full = _pcf_series_coeffs(a, max(order, 100))
+    full = _pcf_taylor_coeffs(a, max(order, 100))
     series = PowerSeries(full[:order + 1])
-    h = log_compose(_pcf_tail_coeffs(a, depth))
+    # t_n = (-1)^n Gamma(2n + a + 1/2) / (2^n n! Gamma(a + 1/2)), t_0 = 1
+    tail = [1.0]
+    for n in range(1, depth + 11):
+        tail.append(-tail[-1] * ((a + (2 * n - 1.5)) * (a + (2 * n - 0.5)) / (2 * n)))
+    tail = np.array(tail[1:])
+    h = log_compose(tail[:depth])
     d = {(0, 0): -0.25 + 0.0j, (2, 1): complex(-a - 0.5)}
     for nn in range(1, depth + 1):
         d[(2 * nn + 2, 0)] = complex(h[nn])
     c0 = complex(full[0])
     asym = AsymExpansion(alpha=2.0, m=1, M=1, N=2 * depth + 2, d=d,
                          psi=0.0, ln_f0=cmath.log(c0))
-    tail = np.array(_pcf_tail_coeffs(a, depth + 10))
     # t^(a-1/2) = t^m t^beta: the Gauss-Jacobi weight takes the non-integer part
     m = max(math.floor(a - 0.5), 0)
     beta = a - 0.5 - m

@@ -26,23 +26,23 @@ def _is_exact_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real == round(s.real)
 
 
-def _tail_derivs(tail_fn, s: complex):
-    """f, f', f''' for f(x) = g(x)^(-s) given the tuple-valued tail_fn."""
+def _tail_derivs(zeros: ZeroSequence, s: complex):
+    """f, f', f''' for f(x) = g(x)^(-s) given the sequence's smooth tail g."""
+    g, dg = zeros.g, zeros.dg
 
     def f(x):
-        g = tail_fn(np.asarray(x, dtype=float))[0]
-        return np.asarray(g, dtype=complex) ** (-s)
+        return np.asarray(g(np.asarray(x, dtype=float)), dtype=complex) ** (-s)
 
     def fp(x):
-        g, g1, _, _ = tail_fn(x)
-        return -s * complex(g) ** (-s - 1.0) * g1
+        g1, _, _ = dg(x)
+        return -s * complex(g(x)) ** (-s - 1.0) * g1
 
     def fppp(x):
-        g, g1, g2, g3 = tail_fn(x)
-        g = complex(g)
-        return (-s * (s + 1.0) * (s + 2.0) * g ** (-s - 3.0) * g1 ** 3
-                + 3.0 * s * (s + 1.0) * g ** (-s - 2.0) * g1 * g2
-                - s * g ** (-s - 1.0) * g3)
+        g1, g2, g3 = dg(x)
+        g0 = complex(g(x))
+        return (-s * (s + 1.0) * (s + 2.0) * g0 ** (-s - 3.0) * g1 ** 3
+                + 3.0 * s * (s + 1.0) * g0 ** (-s - 2.0) * g1 * g2
+                - s * g0 ** (-s - 1.0) * g3)
 
     return f, fp, fppp
 
@@ -66,7 +66,7 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     else:
         logs = log_psi_array(vals, psi)
     head = complex(np.sum(np.exp(-s * logs)))
-    f, fp, fppp = _tail_derivs(zeros.tail_fn, s)
+    f, fp, fppp = _tail_derivs(zeros, s)
     tail = euler_maclaurin_tail(f, fp, fppp, n_terms + 1, s / zeros.alpha)
     return head + tail
 

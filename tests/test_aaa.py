@@ -56,7 +56,7 @@ def _mp_derivative(model, s):
 
 @pytest.fixture(scope="module")
 def airy_fit(airy):
-    zq = airy_zeros(10 ** 4, 10 ** 3)
+    zq = airy_zeros(10 ** 3)
     pts = np.linspace(2.0, 8.0, 100)
     samples = np.array([zeta_series(zq, s, 10 ** 4) for s in pts])
     return pts, samples, aaa_fit(pts, samples, rel_tol=1e-13)

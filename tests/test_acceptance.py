@@ -255,7 +255,7 @@ def test_criterion_7_representation_agreement(riemann, airy):
 def test_criterion_8_aaa_pipeline(airy):
     c = Checker("8 aaa pipeline")
     t0 = time.monotonic()
-    zq = airy_zeros(10 ** 4, 10 ** 3)
+    zq = airy_zeros(10 ** 3)
     pts = np.linspace(2.0, 8.0, 100)
     samples = np.array([zeta_series(zq, s, 10 ** 4) for s in pts])
     model = aaa_fit(pts, samples, rel_tol=1e-13)

@@ -5,12 +5,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetakit import (DomainError, EULER_GAMMA, airy_zeros, chf_model,
+import zetakit
+from zetakit import (DomainError, EULER_GAMMA, airy_model, airy_zeros, chf_model,
                      hurwitz_model, log_coeffs, model_from_spec, pcf_model,
-                     zeta_int_leq_alpha, zeta_pos_int)
+                     riemann_model, zeta_int_leq_alpha, zeta_pos_int)
 from zetakit.catalog import airy_eval, airy_zero_seed
 
 from conftest import ln_f_on_ray, rel_err
+
+
+def mp_log_compose(c):
+    """D_1..D_N (slot 0 unused) of ln(1 + sum_m c_m y^m) from c_1..c_N, in mpmath."""
+    c = [1, *c]
+    d = [0] * len(c)
+    for n in range(1, len(c)):
+        d[n] = c[n] - sum(k * d[k] * c[n - k] for k in range(1, n)) / n
+    return d
 
 
 class TestRiemannModel:
@@ -19,6 +29,13 @@ class TestRiemannModel:
         assert c[0] == 1.0
         assert rel_err(c[1], -EULER_GAMMA) < 1e-14
         assert rel_err(c[2], (6 * EULER_GAMMA ** 2 - math.pi ** 2) / 12.0) < 1e-13
+
+    def test_coefficients_against_mpmath(self, riemann):
+        with mp.workdps(40):
+            ref = mp.taylor(lambda z: 1 / mp.gamma(1 - z), 0, 30)
+        c = riemann.series.coeffs
+        assert len(c) == 31
+        assert max(abs(complex(c[k]) - complex(ref[k])) for k in range(31)) <= 1e-15
 
     def test_asym_entries(self, riemann):
         assert riemann.asym.entry(1, 1) == -0.5
@@ -69,6 +86,18 @@ class TestAiryModel:
         assert rel_err(c[0], complex(1 / (3 ** mp.mpf("2/3") * mp.gamma(mp.mpf(2) / 3)))) < 1e-15
         assert c[2] == 0.0
         assert rel_err(c[1], complex(1 / (3 ** mp.mpf("1/3") * mp.gamma(mp.mpf(1) / 3)))) < 1e-15
+
+    @pytest.mark.parametrize("depth", [8, 13])
+    def test_tail_table_against_gamma_form(self, depth):
+        # c_k = (-3/2 i)^k Gamma(k + 1/6) Gamma(k + 5/6) / (2 pi (-2)^k k!)
+        with mp.workdps(40):
+            c = [mp.mpc(0, -1.5) ** k * mp.gamma(k + mp.mpf(1) / 6)
+                 * mp.gamma(k + mp.mpf(5) / 6) / (2 * mp.pi * (-2) ** k * mp.factorial(k))
+                 for k in range(1, depth + 1)]
+            ref = mp_log_compose(c)
+        m = airy_model(depth=depth)
+        for n in range(1, depth + 1):
+            assert rel_err(m.asym.entry(3 * n + 3, 0), complex(ref[n])) <= 1e-15, n
 
     def test_tail_coefficients(self, airy):
         assert rel_err(airy.asym.entry(6, 0), 5j / 48.0) < 1e-14
@@ -142,7 +171,6 @@ class TestAiryModel:
             assert abs(f) <= 1e-10 * abs(fp) * abs(z)
 
     def test_depth_guard(self):
-        from zetakit import airy_model
         with pytest.raises(DomainError):
             airy_model(depth=20)
 
@@ -181,9 +209,10 @@ class TestAiryZeros:
         for n in (1, 4, 9, 12):
             assert abs(vals[n - 1] - float(-mp.airyaizero(n))) < 5e-12
 
-    def test_count_guard(self):
+    def test_negative_n_exact_guard(self):
         with pytest.raises(DomainError):
-            airy_zeros(10, n_exact=20)
+            airy_zeros(-1)
+        assert airy_zeros(0).values(3)[0] == airy_zero_seed(1)
 
 
 class TestPcfModel:
@@ -196,6 +225,35 @@ class TestPcfModel:
             assert rel_err(m.asym.entry(4, 0), h1) < 1e-13
             assert rel_err(m.asym.entry(6, 0), h2) < 1e-13
             assert rel_err(m.asym.entry(8, 0), h3) < 1e-13
+
+    @pytest.mark.parametrize("a", [-0.45, 0.3, 1.0, 2.0, 3.7])
+    def test_taylor_table_against_mpmath(self, a):
+        # U'' = (z^2/4 + a) U run at 60 digits from mpmath's U(a, 0) and U'(a, 0);
+        # the error is measured at |z| = 3, the Taylor branch's radius
+        m = pcf_model(a, order=100)
+        c = m.series.coeffs
+        with mp.workdps(60):
+            am = mp.mpf(a)
+            ref = [mp.pcfu(am, 0), mp.diff(lambda z: mp.pcfu(am, z), 0)]
+            for n in range(len(c) - 2):
+                ref.append((am * ref[n] + (ref[n - 2] / 4 if n >= 2 else 0))
+                           / ((n + 1) * (n + 2)))
+        scale = sum(abs(x) * 3.0 ** k for k, x in enumerate(c))
+        err = max(abs(complex(c[k]) - complex(ref[k])) * 3.0 ** k for k in range(len(c)))
+        assert err <= 2e-16 * scale
+
+    @pytest.mark.parametrize("a", [-0.45, 0.3, 1.0, 2.0, 3.7])
+    def test_tail_table_against_gamma_form(self, a):
+        # t_n = (-1)^n Gamma(2n + a + 1/2) / (2^n n! Gamma(a + 1/2))
+        m = pcf_model(a)
+        depth = (m.asym.N - 2) // 2
+        with mp.workdps(40):
+            am = mp.mpf(a)
+            t = [(-1) ** n * mp.gamma(2 * n + am + 0.5)
+                 / (2 ** n * mp.factorial(n) * mp.gamma(am + 0.5)) for n in range(1, depth + 1)]
+            ref = mp_log_compose(t)
+        for n in range(1, depth + 1):
+            assert rel_err(m.asym.entry(2 * n + 2, 0), complex(ref[n])) <= 1e-15, n
 
     def test_c0_duplication_identity(self):
         for a in (0.0, 1.0, 2.5):
@@ -285,6 +343,43 @@ class TestAsymptoticValidity:
                            * abs(complex(math.log(t), model.asym.psi)) ** k
                            for (j, k), v in model.asym.d.items() if j == jmax)
                 assert abs(table_val - true_val) <= max(5 * last, 1e-9)
+
+
+class TestBuildBudget:
+    """Kernel calls per model build: counts, so independent of the machine."""
+
+    BUILDS = {"riemann": riemann_model, "hurwitz": lambda: hurwitz_model(0.3),
+              "airy": airy_model, "pcf": lambda: pcf_model(1.0),
+              "chf": lambda: chf_model(0.5, 1.5)}
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, modules=()):
+        calls = [0]
+        orig = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for m in modules:
+            if getattr(m, name, None) is orig:
+                monkeypatch.setattr(m, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_no_tail_rule(self, monkeypatch, name):
+        # the Taylor and large-argument tables come from closed recurrences
+        calls = self._count(monkeypatch, zetakit.quadrature, "euler_maclaurin_tail",
+                            (zetakit.catalog, zetakit.evaluate))
+        self.BUILDS[name]()
+        assert calls[0] == 0
+
+    def test_pcf_gamma_calls(self, monkeypatch):
+        # U(a, 0) and U'(a, 0); the rest is the ODE recurrence and a running product
+        calls = self._count(monkeypatch, math, "gamma")
+        pcf_model(1.0)
+        assert calls[0] <= 2
 
 
 class TestModelFromSpec:
