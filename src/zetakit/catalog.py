@@ -14,14 +14,15 @@ Each model packages the Taylor side (PowerSeries), the large-argument side
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
-from .kernels import bernoulli_number, digamma, digamma_polygamma, gamma
+from .kernels import (bernoulli_number, digamma, digamma_polygamma, gamma,
+                      hurwitz_zeta_row)
 from .quadrature import gauss_jacobi
 from .series import PowerSeries, series_exp
 
@@ -178,10 +179,10 @@ def _unit_slope(x):
 
 
 def _hurwitz_log_series(a, order: int) -> np.ndarray:
-    """Taylor coefficients of ln(Gamma(a) / Gamma(a - z)): (-1)^(n-1) psi^(n-1)(a) / n!."""
+    """Taylor coefficients of ln(Gamma(a) / Gamma(a - z)): b_1 = psi(a), b_n = -zeta(n, a)/n."""
     b = np.zeros(order + 1, dtype=complex)
-    for n in range(1, order + 1):
-        b[n] = (-1.0) ** (n - 1) * digamma_polygamma(n - 1, a) / math.factorial(n)
+    b[1:2] = digamma(a)
+    b[2:] = -hurwitz_zeta_row(a, order) / np.arange(2.0, order + 1.0)
     return b
 
 
@@ -198,24 +199,11 @@ def _riemann_asym(depth: int, psi: float) -> AsymExpansion:
 
 
 def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
-    """Model for the sequence of positive integers."""
-    # 1/Gamma(1 - z); no division by Gamma(1), which the Lanczos kernel gives as 1 - 4e-16
-    series = PowerSeries(series_exp(_hurwitz_log_series(1.0, order)))
-    asym = _riemann_asym(depth, RIEMANN_PSI)
-
-    def log_deriv(z):
-        return digamma(1.0 - np.asarray(z, dtype=complex))
-
-    def eval_fn(z):
-        return _recip_gamma_pair(1.0, z)
-
-    zeros = ZeroSequence(
-        alpha=1.0, n_exact=0,
-        exact_fn=lambda n: float(n), asym_fn=lambda n: float(n),
-        g=lambda x: x, dg=_unit_slope)
-    forms = {0: "-1/2", -1: "-1/12"}
-    return CatalogModel("riemann", {}, series, asym, zeros, eval_fn,
-                        log_deriv, 1.0, forms)
+    """Model for the sequence of positive integers: the Hurwitz model at a = 1."""
+    # the shared builder, not hurwitz_model, so that a wrapper around
+    # hurwitz_model never sees a Riemann build
+    return replace(_shifted_integers(1.0, order, depth), name="riemann", params={},
+                   closed_forms={0: "-1/2", -1: "-1/12"})
 
 
 def ln_gamma_continued(a: complex) -> complex:
@@ -234,6 +222,11 @@ def ln_gamma_continued(a: complex) -> complex:
 
 def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
     """Model for the shifted-integer sequence {n + a}, n >= 0."""
+    return _shifted_integers(a, order, depth)
+
+
+def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
+    """The Hurwitz model: F(z) = 1/Gamma(a - z), its table shifted from Riemann's."""
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0.0 and a.real == math.floor(a.real):
         raise DomainError("parameter a must avoid the nonpositive integers")
@@ -257,9 +250,10 @@ def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
         return a + (n - 1)
 
     moduli = sorted(abs(a + k) for k in range(0, 64))
+    a_g = a.real if a.imag == 0.0 else a      # a real g stays a float array
     zeros = ZeroSequence(
         alpha=1.0, n_exact=0, exact_fn=exact_fn, asym_fn=exact_fn,
-        g=lambda x: x - 1.0 + a, dg=_unit_slope)
+        g=lambda x: x - 1.0 + a_g, dg=_unit_slope)
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )

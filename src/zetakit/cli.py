@@ -15,9 +15,9 @@ from . import __version__
 from .aaa import aaa_fit, bary_eval, derivative_at, find_real_features
 from .asym import classify_poles, l_asy_eval, zeta_int_leq_alpha
 from .catalog import ln_gamma_continued, model_from_spec
-from .errors import ZetakitError
+from .errors import DomainError, ZetakitError
 from .evaluate import contour_zeta, continued_zeta, zeta_series
-from .series import log_coeffs, zeta_pos_int, zeta_via_bell
+from .series import log_coeffs, zeta_via_bell
 from .shift import ShiftParams, shifted_values
 
 _MODELS = ("riemann", "hurwitz", "airy", "pcf", "chf")
@@ -65,9 +65,8 @@ def _emit(args, doc, human_lines):
             print(line)
 
 
-def _value_entry(model, n: int, check: bool, kw: dict):
+def _value_entry(model, report, logc, n: int, check: bool, kw: dict):
     alpha = model.asym.alpha
-    report = classify_poles(model.asym)
     entry = {"n": n}
     pole = report.pole_at(float(n))
     if pole is not None:
@@ -75,7 +74,9 @@ def _value_entry(model, n: int, check: bool, kw: dict):
                      residue=_cjson(pole.residue))
         return entry
     if n > alpha:
-        val = zeta_pos_int(model.series, n, alpha)
+        if n > logc.order:
+            raise DomainError(f"series truncation order {logc.order} < n = {n}")
+        val = -n * logc[n]
         method = "recursion"
     elif n == 0:
         val = report.zeta0
@@ -83,8 +84,7 @@ def _value_entry(model, n: int, check: bool, kw: dict):
     else:
         j = model.asym.j_for_location(float(n))
         absent = j is None or model.asym.max_log_power(j) is None
-        logc = log_coeffs(model.series) if n >= 1 else None
-        val = zeta_int_leq_alpha(model.asym, logc, n)
+        val = zeta_int_leq_alpha(model.asym, logc if n >= 1 else None, n)
         method = "structural-zero" if (n < 0 and absent) else "continuation"
     entry.update(method=method, value=_cjson(val))
     form = model.closed_forms.get(n)
@@ -107,11 +107,13 @@ def cmd_values(args) -> int:
     model = _build_model(args)
     ns = _parse_n_range(args.n)
     kw = _ray_options(args)
+    report = classify_poles(model.asym)
+    logc = log_coeffs(model.series)
     entries = []
     failures = []
     for n in ns:
         try:
-            entries.append(_value_entry(model, n, args.check, kw))
+            entries.append(_value_entry(model, report, logc, n, args.check, kw))
         except ZetakitError as exc:
             failures.append((n, str(exc)))
     lines = []

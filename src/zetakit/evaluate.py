@@ -157,9 +157,9 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
             break
         t_up *= 2.0
     t_up = min(t_up, t_max)
-    # the floor at T is taken at T alone: the digamma-based evaluators shift a
-    # whole array by one recurrence count, so F'/F at T inside the probe pair
-    # can differ from it in the last bit
+    # the floor at T is taken at T alone: the Taylor sums of Airy, PCF and CHF
+    # truncate where the terms at the call's largest |z| are negligible, so
+    # F'/F at T inside the probe pair can differ from it in the last bit
     t = np.array([t_up])
     eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
     if not continued:

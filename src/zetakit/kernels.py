@@ -1,9 +1,10 @@
 """Complex double-precision kernels.
 
-Gamma-family functions (scalar, plus an array digamma), Bernoulli numbers
-and polynomials, Stirling numbers of the first kind, generalized binomial
-coefficients, and the branched logarithm used for sequence powers.  All
-functions are pure and stateless.
+The Gamma family (scalar gamma, an array digamma, a row of Hurwitz zeta
+values zeta(n, a) for n = 2..n_max, and polygamma dispatched to those two),
+Bernoulli numbers and polynomials, Stirling numbers of the first kind,
+generalized binomial coefficients, and the branched logarithm used for
+sequence powers.  All functions are pure and stateless.
 """
 
 import cmath
@@ -61,77 +62,36 @@ def _lanczos_log_gamma(z: complex) -> complex:
 def gamma(z) -> complex:
     """Gamma function for complex arguments.
 
-    Fixed-coefficient rational approximation with reflection for
-    Re(z) < 1/2.  Accurate to better than 1e-13 relative for |z| <= 50;
+    Real arguments go to ``math.gamma`` (within about one ulp).  Others use
+    a fixed-coefficient rational approximation with reflection for
+    Re(z) < 1/2, accurate to better than 1e-13 relative for |z| <= 50;
     arguments beyond |z| ~ 200 are outside the supported range.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma pole at z={z}")
+    if z.imag == 0.0:
+        return complex(math.gamma(z.real))
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
     return cmath.exp(_lanczos_log_gamma(z))
 
 
-# Asymptotic tail of psi^(k); B_{2j} coefficients are attached below once the
-# Bernoulli cache exists.
-
 def digamma_polygamma(k: int, a) -> complex:
     """k-th polygamma function psi^(k)(a), k >= 0.
 
-    Recurrence-shifts the argument until its real part is large enough for
-    the asymptotic series, then sums the series.  Accuracy is ~1e-12
-    relative for the orders used here (k up to ~30).
+    ``digamma`` for k = 0, (-1)^(k+1) k! zeta(k+1, a) by ``hurwitz_zeta_row``
+    for k >= 1.
     """
     if k < 0:
         raise DomainError("polygamma order must be >= 0")
     a = complex(a)
     if _is_nonpositive_integer(a):
         raise DomainError(f"polygamma pole at a={a}")
-    shift_to = 10.0 + k
-    acc = 0.0 + 0.0j
-    z = a
-    while z.real < shift_to:
-        if k == 0:
-            acc -= 1.0 / z
-        else:
-            acc += (-1.0) ** (k + 1) * math.factorial(k) * z ** (-k - 1.0)
-        z += 1.0
-    # psi^(k)(a) = psi^(k)(z) - sum over the shifted-out terms, folded into acc
     if k == 0:
-        val = cmath.log(z) - 0.5 / z
-        zz = z * z
-        w = zz
-        prev = math.inf
-        for j in range(1, 29):
-            term = bernoulli_number(2 * j) / (2 * j) / w
-            if abs(term) > prev:
-                break
-            val -= term
-            prev = abs(term)
-            if abs(term) < 1e-18 * max(1.0, abs(val)):
-                break
-            w *= zz
-    else:
-        sign = (-1.0) ** (k + 1)
-        val = math.factorial(k - 1) * z ** (-1.0 * k)
-        val += math.factorial(k) * z ** (-1.0 * (k + 1)) / 2.0
-        prev = math.inf
-        for j in range(1, 29):
-            fact = 1.0
-            for i in range(1, k):
-                fact *= 2 * j + i
-            # B_{2j} (2j+k-1)! / (2j)!  =  B_{2j} * (2j+1)...(2j+k-1)
-            term = bernoulli_number(2 * j) * fact * z ** (-1.0 * (2 * j + k))
-            if abs(term) > prev:
-                break
-            val += term
-            prev = abs(term)
-            if abs(term) < 1e-18 * max(1.0, abs(val)):
-                break
-        val *= sign
-    return val + acc
+        return complex(digamma(a))
+    return (-1.0) ** (k + 1) * math.factorial(k) * complex(hurwitz_zeta_row(a, k + 1)[-1])
 
 
 @lru_cache(maxsize=None)
@@ -163,21 +123,27 @@ def bernoulli_number(n: int) -> float:
 # summed to 1e-18 for |w| >= 10
 _DIGAMMA_TAIL = [float(_bernoulli_fraction(2 * j)) / (2 * j) for j in range(9, 0, -1)]
 
+# B_{2j} / (2j)!, j = 1..10, each rounded once: the Euler-Maclaurin tail of
+# hurwitz_zeta_row, whose first omitted term is below 1e-17 relative at
+# x >= n_max + 10
+_ZETA_TAIL = np.array([float(_bernoulli_fraction(2 * j) / math.factorial(2 * j))
+                       for j in range(1, 11)])
+
 
 def digamma(w) -> np.ndarray:
     """psi(w) on a complex array of any shape.
 
-    Reflection psi(w) = psi(1 - w) - pi cot(pi w) where Re w < 1/2, a
-    common recurrence shift to Re w >= 10, then the Bernoulli tail.
+    Reflection psi(w) = psi(1 - w) - pi cot(pi w) where Re w < 1/2, then ten
+    recurrence steps at every point (so Re w >= 10.5), then the Bernoulli
+    tail.  The shift does not depend on the other points, so each value
+    equals its own one-point call.
     """
     w = np.asarray(w, dtype=complex)
     refl = w.real < 0.5
     x = np.where(refl, 1.0 - w, w)
     val = np.zeros_like(x)
-    n = math.ceil(10.0 - x.real.min()) if x.size else 0
-    if n > 0:
-        val -= (1.0 / (x[..., None] + np.arange(n))).sum(-1)
-        x = x + n
+    val -= (1.0 / (x[..., None] + np.arange(10.0))).sum(-1)
+    x = x + 10.0
     u = 1.0 / (x * x)
     tail = 0.0
     for c in _DIGAMMA_TAIL:
@@ -186,6 +152,26 @@ def digamma(w) -> np.ndarray:
     if refl.any():
         val[refl] -= math.pi / np.tan(math.pi * w[refl])
     return val
+
+
+def hurwitz_zeta_row(a, n_max: int) -> np.ndarray:
+    """zeta(n, a) = sum_{k >= 0} (a + k)^(-n) for n = 2..n_max, as one array.
+
+    The first N = ceil(n_max + 10 - Re a) terms are summed directly; the rest
+    is the Euler-Maclaurin tail at x = a + N,
+    x^(1-n)/(n-1) + x^(-n)/2 + sum_j B_2j/(2j)! n(n+1)...(n+2j-2) x^(1-n-2j).
+    The direct part is an N x (n_max - 1) array, so it grows with -Re a.
+    """
+    a = complex(a)
+    if _is_nonpositive_integer(a):
+        raise DomainError(f"Hurwitz zeta pole at a={a}")
+    n = np.arange(2.0, n_max + 1.0)
+    big_n = max(math.ceil(n_max + 10.0 - a.real), 0)
+    head = ((a + np.arange(big_n)) ** -n[:, None]).sum(1)
+    x = a + big_n
+    rising = np.cumprod(n[:, None] + np.arange(19.0), axis=1)[:, ::2]
+    em = (_ZETA_TAIL * rising) @ x ** -np.arange(2.0, 21.0, 2.0)
+    return head + x ** (1.0 - n) * (1.0 / (n - 1.0) + 0.5 / x + em)
 
 
 def bernoulli_poly(n: int, a) -> complex:
@@ -250,23 +236,15 @@ def binomial_general(x, n: int) -> complex:
 
 
 def log_psi(z, psi: float) -> complex:
-    """Branched logarithm with the cut on the ray arg = psi.
-
-    Returns ln|z| + i*theta with theta in (psi - 2*pi, psi].
-    """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("log of zero")
-    theta = cmath.phase(z)  # (-pi, pi]
-    while theta > psi:
-        theta -= TWO_PI
-    while theta <= psi - TWO_PI:
-        theta += TWO_PI
-    return complex(math.log(abs(z)), theta)
+    """One-point case of ``log_psi_array``."""
+    return complex(log_psi_array(np.asarray(z, dtype=complex), psi))
 
 
 def log_psi_array(z, psi: float):
-    """Array form of ``log_psi``: ln|z| + i*theta, theta in (psi - 2*pi, psi]."""
+    """Branched logarithm with the cut on the ray arg = psi, on an array.
+
+    Returns ln|z| + i*theta with theta in (psi - 2*pi, psi].
+    """
     if np.any(z == 0):
         raise DomainError("log of zero")
     theta = np.angle(z)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .asym import (AsymExpansion, PoleInfo, PoleReport, classify_poles,
-                   zeta_int_leq_alpha)
+                   zeta_int_leq_alpha, zeta_prime_zero)
 from .errors import DomainError
 from .kernels import binomial_general, stirling_first
 from .series import LogCoeffs
@@ -73,29 +73,33 @@ def omega_table(asym: AsymExpansion, shift: ShiftParams,
     """Asymptotic table of ln F(z - B/A) from the table of ln F(z).
 
     Every output entry is an exact finite combination of input entries with
-    smaller or equal j, so the full depth N is preserved.  ``new_psi``
-    defaults to psi + Arg(A) (exact for B = 0); ``ln_f_shifted`` is the
-    sector-continued ln F(-B/A) and replaces the stored boundary value
+    smaller or equal j, so the full depth N is preserved; for B = 0 the
+    re-expansion is the identity and the input entries are returned.
+    ``new_psi`` defaults to psi + Arg(A) (exact for B = 0); ``ln_f_shifted``
+    is the sector-continued ln F(-B/A) and replaces the stored boundary value
     (kept unchanged when omitted, which is only correct for B = 0).
     """
     mu = shift.mu
     a, m, M, N = asym.alpha, asym.m, asym.M, asym.N
-    out = {}
-    for j in range(N + 1):
-        for pw in range(M + 1):
-            acc = 0.0 + 0.0j
-            lmax = min(j // m, M - pw)
-            for l in range(lmax + 1):
-                nmax = j // m - l
-                for n in range(nmax + 1):
-                    src_j = j - m * (l + n)
-                    d_src = asym.entry(src_j, l + pw)
-                    if d_src == 0:
-                        continue
-                    acc += math.comb(l + pw, pw) * d_src * mu_coeff(
-                        n, pw, l + pw, src_j, mu, a, m)
-            if acc != 0:
-                out[(j, pw)] = acc
+    if mu == 0:
+        out = {jk: v for jk, v in asym.d.items() if v != 0}
+    else:
+        out = {}
+        for j in range(N + 1):
+            for pw in range(M + 1):
+                acc = 0.0 + 0.0j
+                lmax = min(j // m, M - pw)
+                for l in range(lmax + 1):
+                    nmax = j // m - l
+                    for n in range(nmax + 1):
+                        src_j = j - m * (l + n)
+                        d_src = asym.entry(src_j, l + pw)
+                        if d_src == 0:
+                            continue
+                        acc += math.comb(l + pw, pw) * d_src * mu_coeff(
+                            n, pw, l + pw, src_j, mu, a, m)
+                if acc != 0:
+                    out[(j, pw)] = acc
     if new_psi is None:
         new_psi = asym.psi + cmath.phase(shift.A)
     ln_f0 = asym.ln_f0 if ln_f_shifted is None else complex(ln_f_shifted)
@@ -139,9 +143,8 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams,
     zeta_prime0 = None
     if om.M <= 1 and not base.zeta0_is_pole:
         jz = om.j_for_location(0.0)
-        om0 = om.entry(jz, 0) if jz is not None else 0.0
         om1 = om.entry(jz, 1) if jz is not None else 0.0
-        zeta_prime0 = 1j * math.pi * om1 + om0 - om1 * ln_a - om.ln_f0
+        zeta_prime0 = zeta_prime_zero(om) - om1 * ln_a
     report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole,
                         zeta_prime0, base.notes)
     values = {}

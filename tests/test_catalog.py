@@ -9,7 +9,8 @@ import zetakit
 from zetakit import (DomainError, EULER_GAMMA, airy_model, airy_zeros, chf_model,
                      hurwitz_model, log_coeffs, model_from_spec, pcf_model,
                      riemann_model, zeta_int_leq_alpha, zeta_pos_int)
-from zetakit.catalog import airy_eval, airy_zero_seed
+from zetakit.catalog import RIEMANN_PSI, _riemann_asym, airy_eval, airy_zero_seed
+from zetakit.shift import ShiftParams, omega_table
 
 from conftest import ln_f_on_ray, rel_err
 
@@ -37,6 +38,11 @@ class TestRiemannModel:
         assert len(c) == 31
         assert max(abs(complex(c[k]) - complex(ref[k])) for k in range(31)) <= 1e-15
 
+    def test_name_and_origin_values(self, riemann):
+        assert (riemann.name, riemann.params) == ("riemann", {})
+        assert riemann.asym.ln_f0 == 0
+        assert riemann.series.coeffs[0] == 1.0
+
     def test_asym_entries(self, riemann):
         assert riemann.asym.entry(1, 1) == -0.5
         assert riemann.asym.entry(0, 1) == 1.0
@@ -54,11 +60,9 @@ class TestRiemannModel:
 
 
 class TestHurwitzModel:
-    def test_a_one_is_riemann(self, riemann):
-        hm = hurwitz_model(1.0)
-        assert np.max(np.abs(hm.series.coeffs - riemann.series.coeffs)) < 1e-13
-        for (j, k), v in riemann.asym.d.items():
-            assert abs(hm.asym.entry(j, k) - v) < 1e-13
+    def test_zero_shift_keeps_riemann_table(self):
+        base = _riemann_asym(14, RIEMANN_PSI)
+        assert omega_table(base, ShiftParams(1.0, 0.0)).d == base.d
 
     def test_series_against_hurwitz_zeta_oracle(self):
         for a in (0.25, 2.0):
@@ -374,6 +378,14 @@ class TestBuildBudget:
                             (zetakit.catalog, zetakit.evaluate))
         self.BUILDS[name]()
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", ["riemann", "hurwitz"])
+    def test_polygamma_calls(self, monkeypatch, name):
+        # psi(a) and one row of zeta(n, a), not one polygamma call per coefficient
+        calls = self._count(monkeypatch, zetakit.kernels, "digamma_polygamma",
+                            (zetakit.catalog,))
+        self.BUILDS[name]()
+        assert calls[0] <= 1
 
     def test_pcf_gamma_calls(self, monkeypatch):
         # U(a, 0) and U'(a, 0); the rest is the ODE recurrence and a running product

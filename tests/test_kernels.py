@@ -9,7 +9,7 @@ import pytest
 from zetakit import (DomainError, EULER_GAMMA, UnsupportedOrderError,
                      bernoulli_number, bernoulli_poly, binomial_general,
                      digamma_polygamma, gamma, log_psi, stirling_first)
-from zetakit.kernels import log_psi_array
+from zetakit.kernels import digamma, hurwitz_zeta_row, log_psi_array
 
 from conftest import rel_err
 
@@ -61,6 +61,12 @@ class TestGamma:
             with pytest.raises(DomainError):
                 gamma(z)
 
+    def test_real_line_against_oracle(self):
+        assert gamma(1.0) == 1.0
+        xs = np.linspace(0.05, 30.0, 600)
+        worst = max(rel_err(gamma(x), mp.gamma(mp.mpf(float(x)))) for x in xs)
+        assert worst < 1e-15
+
 
 class TestPolygamma:
     def test_digamma_one(self):
@@ -91,6 +97,32 @@ class TestPolygamma:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             digamma_polygamma(0, -3.0)
+
+
+class TestDigamma:
+    def test_each_point_on_its_own(self):
+        # reflected, shifted and unshifted points in one call: each value is
+        # bit for bit its own one-point value
+        rng = np.random.default_rng(29)
+        w = np.concatenate([rng.uniform(-8, 40, 150) + 1j * rng.uniform(-20, 20, 150),
+                            1.0 - rng.uniform(0.1, 400, 100) * cmath.exp(0.75j * math.pi),
+                            rng.uniform(0.05, 60, 100).astype(complex)])
+        got = digamma(w)
+        assert all(got[i] == digamma(w[i:i + 1])[0] for i in range(len(w)))
+
+
+class TestHurwitzZetaRow:
+    @pytest.mark.parametrize("a", [1.0, 0.25, 0.3, 0.8, 2.5, -1.3, 0.4 + 0.7j])
+    def test_against_oracle(self, a):
+        got = hurwitz_zeta_row(a, 31)
+        with mp.workdps(40):
+            want = [complex(mp.zeta(n, mp.mpmathify(a))) for n in range(2, 32)]
+        assert len(got) == 30
+        assert max(rel_err(g, w) for g, w in zip(got, want)) < 3e-15
+
+    def test_pole_rejected(self):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_row(-2.0, 5)
 
 
 class TestBernoulli:
