@@ -306,7 +306,12 @@ def _tail_integral(mu: complex, n: int, R: float, log_r: complex) -> complex:
 
 
 def ray_prefactor(s: complex, psi: float) -> complex:
-    """e^{is(pi - psi)} sin(pi s) / pi, the weight of the ray integral."""
+    """e^{is(pi - psi)} sin(pi s) / pi, the weight of the ray integral.
+
+    The sine is exactly 0 at integer s, where it annihilates every ray term.
+    """
+    if s.imag == 0.0 and s.real == round(s.real):
+        return 0.0j
     return cmath.exp(1j * s * (math.pi - psi)) * cmath.sin(math.pi * s) / math.pi
 
 

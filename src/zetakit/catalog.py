@@ -4,8 +4,9 @@ Each model packages the Taylor side (PowerSeries), the large-argument side
 (AsymExpansion), a pointwise evaluator for the characteristic function, and
 -- where the zeros are real and computable -- a ZeroSequence generator:
 
-* ``riemann_model``: positive integers, F(z) = 1/Gamma(1-z)
-* ``hurwitz_model``: integers shifted by a, F(z) = 1/Gamma(a-z)
+* ``riemann_model``: positive integers, F(z) = 1/Gamma(1-z), the case a = 1 of
+* ``hurwitz_model``: integers shifted by a, F(z) = 1/Gamma(a-z), both tables in
+  closed form (Bernoulli polynomials, the log-series at Re(a + m) >= 4)
 * ``airy_model``:    negated Airy-function zeros, F(z) = Ai(-z)
 * ``pcf_model``:     parabolic cylinder U(a, z) zeros
 * ``chf_model``:     confluent hypergeometric M(a, b, z) zeros
@@ -21,10 +22,10 @@ import numpy as np
 
 from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
-from .kernels import (bernoulli_number, digamma, digamma_polygamma, gamma,
+from .kernels import (bernoulli_poly_row, digamma, digamma_polygamma, gamma,
                       hurwitz_zeta_row)
 from .quadrature import gauss_jacobi
-from .series import PowerSeries, series_exp
+from .series import PowerSeries, series_exp, series_mul
 
 RIEMANN_PSI = 3.0 * math.pi / 4.0
 AIRY_PSI = 1.6  # second-quadrant ray, inside the sector where the
@@ -173,29 +174,12 @@ def _recip_gamma_pair(a: complex, z):
     return f, digamma_polygamma(0, w) * f
 
 
-def _unit_slope(x):
-    """(g', g'', g''') of the shifted integers g(x) = x + const."""
-    return 1.0, 0.0, 0.0
-
-
 def _hurwitz_log_series(a, order: int) -> np.ndarray:
     """Taylor coefficients of ln(Gamma(a) / Gamma(a - z)): b_1 = psi(a), b_n = -zeta(n, a)/n."""
     b = np.zeros(order + 1, dtype=complex)
     b[1:2] = digamma(a)
     b[2:] = -hurwitz_zeta_row(a, order) / np.arange(2.0, order + 1.0)
     return b
-
-
-def _riemann_asym(depth: int, psi: float) -> AsymExpansion:
-    d = {(0, 1): 1.0 + 0.0j,
-         (0, 0): -(1j * math.pi + 1.0),
-         (1, 1): -0.5 + 0.0j,
-         (1, 0): complex(-0.5 * math.log(2.0 * math.pi), 0.5 * math.pi)}
-    for j in range(2, depth + 1):
-        bj = bernoulli_number(j)
-        if bj != 0.0:
-            d[(j, 0)] = bj / (j * (j - 1.0))
-    return AsymExpansion(alpha=1.0, m=1, M=1, N=depth, d=d, psi=psi, ln_f0=0.0)
 
 
 def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
@@ -226,19 +210,33 @@ def hurwitz_model(a, order: int = 30, depth: int = 14) -> CatalogModel:
 
 
 def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
-    """The Hurwitz model: F(z) = 1/Gamma(a - z), its table shifted from Riemann's."""
+    """The Hurwitz model: F(z) = 1/Gamma(a - z), both tables in closed form.
+
+    d[j, 0] = B_j(a)/(j(j-1)) for j >= 2 (DLMF 5.11.8); the Taylor table is
+    prod_{k<m} (a + k - z) / Gamma(a + m - z), Re(a + m) >= 4, so the
+    log-series exponentiated at a + m does not cancel like a^-n.
+    """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0.0 and a.real == math.floor(a.real):
         raise DomainError("parameter a must avoid the nonpositive integers")
     if a.imag == 0.0:
         a = complex(a.real, 0.0)
-    from .shift import ShiftParams, omega_table
-
-    base = _riemann_asym(depth, RIEMANN_PSI)
-    ln_f_shift = -ln_gamma_continued(a)
-    asym = omega_table(base, ShiftParams(1.0, a - 1.0), new_psi=RIEMANN_PSI,
-                       ln_f_shifted=ln_f_shift)
-    series = PowerSeries(series_exp(_hurwitz_log_series(a, order)) / gamma(a))
+    d = {(0, 1): 1.0 + 0.0j,
+         (0, 0): complex(-1.0, -math.pi),
+         (1, 1): 0.5 - a,
+         (1, 0): -0.5 * math.log(2.0 * math.pi) + 1j * math.pi * (a - 0.5)}
+    bern = bernoulli_poly_row(a, depth)
+    for j in range(2, depth + 1):
+        if bern[j] != 0:
+            d[(j, 0)] = bern[j] / (j * (j - 1.0))
+    asym = AsymExpansion(alpha=1.0, m=1, M=1, N=depth, d=d, psi=RIEMANN_PSI,
+                         ln_f0=-ln_gamma_continued(a))
+    m = max(math.ceil(4.0 - a.real), 0)
+    poly = np.ones(1, dtype=complex)
+    for k in range(m):
+        poly = np.convolve(poly, [a + k, -1.0])       # times (a + k - z)
+    head = series_exp(_hurwitz_log_series(a + m, order))
+    series = PowerSeries(series_mul(poly, head, order) / gamma(a + m))
 
     def log_deriv(z):
         return digamma(a - np.asarray(z, dtype=complex))
@@ -253,7 +251,7 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     a_g = a.real if a.imag == 0.0 else a      # a real g stays a float array
     zeros = ZeroSequence(
         alpha=1.0, n_exact=0, exact_fn=exact_fn, asym_fn=exact_fn,
-        g=lambda x: x - 1.0 + a_g, dg=_unit_slope)
+        g=lambda x: x - 1.0 + a_g, dg=lambda x: (1.0, 0.0, 0.0))
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .aaa import aaa_fit, bary_eval, derivative_at, find_real_features
 from .asym import classify_poles, l_asy_eval, zeta_int_leq_alpha
-from .catalog import ln_gamma_continued, model_from_spec
+from .catalog import hurwitz_model, ln_gamma_continued, model_from_spec
 from .errors import DomainError, ZetakitError
 from .evaluate import contour_zeta, continued_zeta, zeta_series
 from .series import log_coeffs, zeta_via_bell
@@ -169,8 +169,27 @@ def cmd_poles(args) -> int:
     return 0
 
 
+def _shift_check(model, shift, rep) -> float:
+    """Largest gap between the shifted report and hurwitz_model(a + B/A), a = 1 for riemann.
+
+    A a_n + B = A (a_n + B/A), so zeta(s) = A^(-s) zeta_H(s, a + B/A): the
+    reference table is built in closed form, without ``omega_table``.
+    """
+    ref = hurwitz_model(model.params.get("a", 1.0) + shift.mu)
+    base = classify_poles(ref.asym)
+    A = shift.A
+    gaps = [abs(rep.report.zeta0 - base.zeta0),
+            abs(rep.report.pole_at(1.0).residue - base.pole_at(1.0).residue / A)]
+    gaps += [abs(v - A ** complex(-n) * zeta_int_leq_alpha(ref.asym, None, n))
+             for n, v in rep.values.items()]
+    return max(gaps)
+
+
 def cmd_shift(args) -> int:
     model = _build_model(args)
+    if args.check and model.name not in ("riemann", "hurwitz"):
+        raise ZetakitError(f"shift --check has an independent route only for the shifted "
+                           f"integers (riemann, hurwitz), not {model.name!r}")
     shift = ShiftParams(_cnum(args.A), _cnum(args.B))
     ln_f_shift = None
     branch_note = None
@@ -195,6 +214,8 @@ def cmd_shift(args) -> int:
            "zeta_prime0": None if ln_f_shift is None else _cjson(rep.report.zeta_prime0),
            "values": {str(n): _cjson(v) for n, v in sorted(rep.values.items())},
            "flags": list(rep.flags) + ([branch_note] if branch_note else [])}
+    if args.check:
+        doc["check_discrepancy"] = _shift_check(model, shift, rep)
     lines = [f"transformed sequence A*a_n + B with A={_fmt(shift.A)}, B={_fmt(shift.B)}"]
     for p in rep.report.poles:
         lines.append(f"pole at s = {p.location:g}, order {p.order}, "
@@ -207,6 +228,8 @@ def cmd_shift(args) -> int:
         lines.append(f"zeta({n}) = {_fmt(v)}")
     for fl in doc["flags"]:
         lines.append(f"note: {fl}")
+    if args.check:
+        lines.append(f"independent route discrepancy: {doc['check_discrepancy']:.2e}")
     _emit(args, doc, lines)
     return 0
 
@@ -217,8 +240,15 @@ def _ray_options(args) -> dict:
             if v is not None}
 
 
+def _require_zeros(model, purpose: str):
+    if model.zeros is None:
+        raise ZetakitError(f"model {model.name!r} has no zero generator for {purpose}")
+
+
 def _point_command(args, which: str) -> int:
     model = _build_model(args)
+    if which == "series":
+        _require_zeros(model, "direct summation")
     s = _cnum(args.s)
     kw = _ray_options(args)
     if which == "series":
@@ -249,8 +279,7 @@ def _point_command(args, which: str) -> int:
 
 def cmd_aaa(args) -> int:
     model = _build_model(args)
-    if model.zeros is None:
-        raise ZetakitError(f"model {model.name!r} has no zero generator for sampling")
+    _require_zeros(model, "sampling")
     lo, hi = 2.0, 8.0
     pts = np.linspace(lo, hi, args.npoints)
     samples = np.array([zeta_series(model.zeros, s, args.nterms) for s in pts])

@@ -119,54 +119,55 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
 
     D is ``ray_tail_derivative``, the derivative of the truncated asymptotic
     expansion of ln F along the ray, and L_asy(a) = ``l_asy_eval(asym, s, a)``
-    its ray integral from a to infinity in closed form.  The continued
-    representation subtracts D along the whole ray (a = R); the contour
-    representation integrates the bare F'/F up to the cutoff T and adds only
-    the tail past T in closed form (a = T).  T grows while the subtracted
-    integrand still has signal above the differencing-roundoff floor, and
-    never past ``t_max``.  At exact integers the sine prefactor annihilates
-    every ray term, so the ray is skipped.
+    its ray integral from the split point a to infinity in closed form.  The
+    continued representation takes a = max(R, 1): the table terms grow like
+    t^(-N/m) toward 0, where L_asy and the ray would cancel digits, and the
+    bare F'/F on [R, a) is a finite integral.  The contour representation
+    takes a = T, so it shares no subtracted term with the continued one.  The
+    cutoff T grows while the subtracted integrand still has signal above the
+    differencing-roundoff floor, and never past ``t_max``.  At exact integers
+    the sine prefactor is 0, so the ray is skipped and a = max(R, 1).
     """
     tol = _DEFAULT_QUAD_TOL if quad_tol is None else float(quad_tol)
     R = _default_radius(model, R)
     total = _circle_term(model, s, R, tol)
-    if continued:
-        total += l_asy_eval(asym, s, R)
-    if _is_exact_integer(s):
-        return total
-    eipsi = cmath.exp(1j * asym.psi)
+    split, ray = max(R, 1.0), 0.0
+    if not _is_exact_integer(s):
+        eipsi = cmath.exp(1j * asym.psi)
 
-    def log_deriv(t):
-        return np.asarray(model.log_deriv(t * eipsi), dtype=complex)
+        def log_deriv(t):
+            return np.asarray(model.log_deriv(t * eipsi), dtype=complex)
 
-    def integrand(t, ld, subtract):
-        if subtract:
-            return t ** (-s) * (eipsi * ld - ray_tail_derivative(asym, t))
-        return t ** (-s) * eipsi * ld
+        def integrand(t, ld, a):
+            sub = t >= a
+            tail = np.zeros_like(ld)
+            if sub.any():
+                tail[sub] = ray_tail_derivative(asym, t[sub])
+            return t ** (-s) * (eipsi * ld - tail)
 
-    def noise_floor(t, ld):
-        # size of the quantities being differenced, times an ulp
-        return float(np.max(t ** (-s.real) * np.abs(ld))) * 2e-16
+        def noise_floor(t, ld):
+            # size of the quantities being differenced, times an ulp
+            return float(np.max(t ** (-s.real) * np.abs(ld))) * 2e-16
 
-    t_up = min(max(3.0 * R, 6.0), t_max)
-    while t_up < t_max:
-        pts = np.array([0.7 * t_up, t_up])
-        ld = log_deriv(pts)         # once per probe, for the probe and its floor
-        probe = float(np.max(np.abs(integrand(pts, ld, True))))
-        if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts, ld):
-            break
-        t_up *= 2.0
-    t_up = min(t_up, t_max)
-    # the floor at T is taken at T alone: the Taylor sums of Airy, PCF and CHF
-    # truncate where the terms at the call's largest |z| are negligible, so
-    # F'/F at T inside the probe pair can differ from it in the last bit
-    t = np.array([t_up])
-    eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
-    if not continued:
-        total += l_asy_eval(asym, s, t_up)
-    ray = quad_adaptive(lambda t: integrand(t, log_deriv(t), continued), R, t_up,
-                        abs_tol=eff_tol, initial_points=_geometric_points(R, t_up))
-    return total + ray_prefactor(s, asym.psi) * ray
+        t_up = min(max(3.0 * R, 6.0), t_max)
+        while t_up < t_max:
+            pts = np.array([0.7 * t_up, t_up])
+            ld = log_deriv(pts)         # once per probe, for the probe and its floor
+            probe = float(np.max(np.abs(integrand(pts, ld, 0.0))))
+            if probe * t_up < 0.1 * tol or probe < 4.0 * noise_floor(pts, ld):
+                break
+            t_up *= 2.0
+        t_up = min(t_up, t_max)
+        # the floor at T is taken at T alone: the Taylor sums of Airy, PCF
+        # and CHF truncate where the terms at the call's largest |z| are
+        # negligible, so F'/F at T in the probe pair can differ in the last bit
+        t = np.array([t_up])
+        eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
+        split = split if continued else t_up
+        ray = ray_prefactor(s, asym.psi) * quad_adaptive(
+            lambda t: integrand(t, log_deriv(t), split), R, t_up, abs_tol=eff_tol,
+            initial_points=[*_geometric_points(R, t_up), split])
+    return total + l_asy_eval(asym, s, split) + ray
 
 
 def contour_zeta(model: CatalogModel, s, R: float | None = None,

@@ -174,34 +174,38 @@ def hurwitz_zeta_row(a, n_max: int) -> np.ndarray:
     return head + x ** (1.0 - n) * (1.0 / (n - 1.0) + 0.5 / x + em)
 
 
-def bernoulli_poly(n: int, a) -> complex:
-    """Bernoulli polynomial B_n(a) via the binomial expansion in B_k.
+def bernoulli_poly_row(a, n_max: int) -> np.ndarray:
+    """B_0(a), ..., B_n_max(a) from B_n(a) = sum_k C(n, k) B_k a^(n-k), as one array.
 
-    Evaluated in exact rational arithmetic (the argument's binary64 value is
-    taken exactly), so cancellation between the huge binomial terms does not
-    leak into the result.
+    Exact integer arithmetic on a = (p + iq)/d, the argument's binary64 value:
+    the large binomial terms cancel exactly and each entry is rounded once.
     """
-    if n < 0:
+    if n_max < 0:
         raise DomainError("Bernoulli index must be >= 0")
-    if n > 60:
+    if n_max > 60:
         raise UnsupportedOrderError("Bernoulli polynomials supported for n <= 60")
-    a = complex(a)
-    ar, ai = Fraction(a.real), Fraction(a.imag)
-    # powers of a as exact (re, im) pairs, highest first
-    pow_r, pow_i = [Fraction(1)], [Fraction(0)]
-    for _ in range(n):
-        pr, pi = pow_r[-1], pow_i[-1]
-        pow_r.append(pr * ar - pi * ai)
-        pow_i.append(pr * ai + pi * ar)
-    tot_r, tot_i = Fraction(0), Fraction(0)
-    for k in range(n + 1):
-        b = _bernoulli_fraction(k)
-        if b == 0:
-            continue
-        c = math.comb(n, k) * b
-        tot_r += c * pow_r[n - k]
-        tot_i += c * pow_i[n - k]
-    return complex(float(tot_r), float(tot_i))
+    re, im = Fraction(complex(a).real), Fraction(complex(a).imag)
+    d = max(re.denominator, im.denominator)           # both powers of two
+    p, q = int(re * d), int(im * d)
+    bern = [_bernoulli_fraction(k) for k in range(n_max + 1)]
+    den = math.lcm(*(b.denominator for b in bern))
+    b = [x.numerator * (den // x.denominator) * d ** k for k, x in enumerate(bern)]
+    pw = [(1, 0)]                                     # (p + iq)^i as (re, im)
+    for _ in range(n_max):
+        pw.append((pw[-1][0] * p - pw[-1][1] * q, pw[-1][0] * q + pw[-1][1] * p))
+    row = np.empty(n_max + 1, dtype=complex)
+    for n in range(n_max + 1):
+        # den d^n B_n(a) = sum_k C(n, k) b_k (p + iq)^(n-k), b_k = den B_k d^k
+        c = [math.comb(n, k) * b[k] for k in range(n + 1)]
+        scale = den * d ** n                          # int / int rounds once
+        row[n] = complex(sum(ck * pw[n - k][0] for k, ck in enumerate(c)) / scale,
+                         sum(ck * pw[n - k][1] for k, ck in enumerate(c)) / scale)
+    return row
+
+
+def bernoulli_poly(n: int, a) -> complex:
+    """Bernoulli polynomial B_n(a), the last entry of ``bernoulli_poly_row``."""
+    return complex(bernoulli_poly_row(a, n)[-1])
 
 
 @lru_cache(maxsize=None)

@@ -74,32 +74,29 @@ def omega_table(asym: AsymExpansion, shift: ShiftParams,
 
     Every output entry is an exact finite combination of input entries with
     smaller or equal j, so the full depth N is preserved; for B = 0 the
-    re-expansion is the identity and the input entries are returned.
-    ``new_psi`` defaults to psi + Arg(A) (exact for B = 0); ``ln_f_shifted``
-    is the sector-continued ln F(-B/A) and replaces the stored boundary value
-    (kept unchanged when omitted, which is only correct for B = 0).
+    re-expansion is the identity.  ``new_psi`` defaults to psi + Arg(A)
+    (exact for B = 0); ``ln_f_shifted`` is the sector-continued ln F(-B/A)
+    and replaces the stored boundary value (kept unchanged when omitted,
+    which is only correct for B = 0).
     """
     mu = shift.mu
     a, m, M, N = asym.alpha, asym.m, asym.M, asym.N
-    if mu == 0:
-        out = {jk: v for jk, v in asym.d.items() if v != 0}
-    else:
-        out = {}
-        for j in range(N + 1):
-            for pw in range(M + 1):
-                acc = 0.0 + 0.0j
-                lmax = min(j // m, M - pw)
-                for l in range(lmax + 1):
-                    nmax = j // m - l
-                    for n in range(nmax + 1):
-                        src_j = j - m * (l + n)
-                        d_src = asym.entry(src_j, l + pw)
-                        if d_src == 0:
-                            continue
-                        acc += math.comb(l + pw, pw) * d_src * mu_coeff(
-                            n, pw, l + pw, src_j, mu, a, m)
-                if acc != 0:
-                    out[(j, pw)] = acc
+    out = {}
+    for j in range(N + 1):
+        for pw in range(M + 1):
+            acc = 0.0 + 0.0j
+            lmax = min(j // m, M - pw)
+            for l in range(lmax + 1):
+                nmax = j // m - l
+                for n in range(nmax + 1):
+                    src_j = j - m * (l + n)
+                    d_src = asym.entry(src_j, l + pw)
+                    if d_src == 0:
+                        continue
+                    acc += math.comb(l + pw, pw) * d_src * mu_coeff(
+                        n, pw, l + pw, src_j, mu, a, m)
+            if acc != 0:
+                out[(j, pw)] = acc
     if new_psi is None:
         new_psi = asym.psi + cmath.phase(shift.A)
     ln_f0 = asym.ln_f0 if ln_f_shifted is None else complex(ln_f_shifted)

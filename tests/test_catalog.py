@@ -9,7 +9,7 @@ import zetakit
 from zetakit import (DomainError, EULER_GAMMA, airy_model, airy_zeros, chf_model,
                      hurwitz_model, log_coeffs, model_from_spec, pcf_model,
                      riemann_model, zeta_int_leq_alpha, zeta_pos_int)
-from zetakit.catalog import RIEMANN_PSI, _riemann_asym, airy_eval, airy_zero_seed
+from zetakit.catalog import airy_eval, airy_zero_seed
 from zetakit.shift import ShiftParams, omega_table
 
 from conftest import ln_f_on_ray, rel_err
@@ -60,9 +60,50 @@ class TestRiemannModel:
 
 
 class TestHurwitzModel:
+    PARAMS = (1.0, 0.25, 0.3, 0.8, 2.5, -1.3, 0.4 + 0.7j)
+
     def test_zero_shift_keeps_riemann_table(self):
-        base = _riemann_asym(14, RIEMANN_PSI)
+        base = riemann_model().asym
         assert omega_table(base, ShiftParams(1.0, 0.0)).d == base.d
+
+    @pytest.mark.parametrize("a", PARAMS)
+    def test_asym_against_mpmath_closed_form(self, a):
+        # DLMF 5.11.8 with the Bernoulli polynomials, at the binary64 value of a
+        d = hurwitz_model(a).asym.d
+        with mp.workdps(40):
+            am = mp.mpc(complex(a))
+            ref = {(0, 1): mp.mpf(1), (0, 0): -(1 + 1j * mp.pi), (1, 1): mp.mpf(0.5) - am,
+                   (1, 0): -mp.log(2 * mp.pi) / 2 + 1j * mp.pi * (am - mp.mpf(0.5))}
+            ref.update({(j, 0): mp.bernpoly(j, am) / (j * (j - 1)) for j in range(2, 15)})
+            ref = {jk: complex(v) for jk, v in ref.items() if v != 0}
+        assert set(d) == set(ref)
+        assert max(rel_err(d[jk], v) for jk, v in ref.items()) <= 1e-15
+
+    @pytest.mark.parametrize("a", PARAMS)
+    def test_taylor_against_mpmath(self, a):
+        # 1/Gamma(a - z) = exp(psi(a) z - sum_n zeta(n, a) z^n / n) / Gamma(a),
+        # exponentiated at 60 digits: its terms cancel like a^-n, which is the
+        # loss the builder avoids by working at a + m
+        with mp.workdps(60):
+            am = mp.mpc(complex(a))
+            b = [0, mp.digamma(am)] + [-mp.zeta(n, am) / n for n in range(2, 31)]
+            h = [mp.mpf(1)]
+            for j in range(1, 31):
+                h.append(sum(k * b[k] * h[j - k] for k in range(1, j + 1)) / j)
+            ref = [complex(x * mp.rgamma(am)) for x in h]
+        c = hurwitz_model(a).series.coeffs
+        err = max(abs(complex(c[n]) - ref[n]) * 3.0 ** n for n in range(31))
+        assert err <= 1e-15 * sum(abs(r) * 3.0 ** n for n, r in enumerate(ref))
+
+    @pytest.mark.parametrize("a", PARAMS)
+    def test_omega_table_reproduces_closed_form(self, riemann, a):
+        # the independent oracle of the general re-expansion behind ``shift``
+        got = omega_table(riemann.asym, ShiftParams(1.0, complex(a) - 1.0))
+        want = hurwitz_model(a).asym
+        for j in range(15):
+            for k in (0, 1):
+                v = want.entry(j, k)
+                assert abs(got.entry(j, k) - v) <= 1e-12 * max(1.0, abs(v))
 
     def test_series_against_hurwitz_zeta_oracle(self):
         for a in (0.25, 2.0):
@@ -386,6 +427,13 @@ class TestBuildBudget:
                             (zetakit.catalog,))
         self.BUILDS[name]()
         assert calls[0] <= 1
+
+    @pytest.mark.parametrize("name", ["riemann", "hurwitz"])
+    def test_no_table_re_expansion(self, monkeypatch, name):
+        # both shifted-integer tables come from closed forms, not omega_table
+        calls = self._count(monkeypatch, zetakit.shift, "omega_table")
+        self.BUILDS[name]()
+        assert calls[0] == 0
 
     def test_pcf_gamma_calls(self, monkeypatch):
         # U(a, 0) and U'(a, 0); the rest is the ODE recurrence and a running product

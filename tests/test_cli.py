@@ -132,6 +132,36 @@ class TestShift:
             assert got == pytest.approx(ref_n, rel=1e-9, abs=1e-12)
         assert doc["poles"][0]["location"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "riemann", "--A", "1", "--B", "-0.75"),
+        ("--model", "hurwitz", "--a", "0.3", "--A", "2", "--B", "0.5")])
+    def test_check_against_hurwitz_closed_form(self, capsys, argv):
+        code, doc, _ = run_json(capsys, "shift", *argv, "--check")
+        assert code == 0
+        assert doc["check_discrepancy"] < 1e-12
+
+    def test_check_sees_a_corrupted_table(self, capsys, monkeypatch):
+        import dataclasses
+        import zetakit.shift
+        orig = zetakit.shift.omega_table
+
+        def corrupted(*args, **kwargs):
+            om = orig(*args, **kwargs)
+            return dataclasses.replace(om, d={**om.d, (3, 0): om.d[(3, 0)] + 1e-3})
+
+        monkeypatch.setattr(zetakit.shift, "omega_table", corrupted)
+        code, doc, _ = run_json(capsys, "shift", "--model", "riemann",
+                                "--A", "1", "--B", "-0.75", "--check")
+        assert code == 0
+        assert doc["check_discrepancy"] > 1e-4
+
+    @pytest.mark.parametrize("model", [("airy",), ("pcf", "--a", "1")])
+    def test_check_without_route_fails_cleanly(self, capsys, model):
+        code, out, err = run(capsys, "shift", "--model", *model,
+                             "--A", "2", "--B", "0.5", "--check")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestPointCommands:
     def test_series(self, capsys):
@@ -165,6 +195,13 @@ class TestPointCommands:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == "" and err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("model", [("pcf", "--a", "1"), ("chf", "--a", "0.5", "--b", "1.5")])
+    def test_series_without_zeros_fails_cleanly(self, capsys, model):
+        code, out, err = run(capsys, "series", "--model", *model, "--s", "3")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_series_check_off_integers(self, capsys):
         code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
