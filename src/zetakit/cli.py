@@ -6,6 +6,7 @@ re-derive the result along an independent route and report the discrepancy.
 """
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -169,16 +170,22 @@ def cmd_poles(args) -> int:
     return 0
 
 
-def _shift_check(model, shift, rep) -> float:
-    """Largest gap between the shifted report and hurwitz_model(a + B/A), a = 1 for riemann.
+def _shifted_a(model, shift) -> complex:
+    """a + B/A for the shifted integers: A (n + a) + B = A (n + a + B/A), a = 1 for riemann."""
+    return model.params.get("a", 1.0) + shift.mu
 
-    A a_n + B = A (a_n + B/A), so zeta(s) = A^(-s) zeta_H(s, a + B/A): the
-    reference table is built in closed form, without ``omega_table``.
+
+def _shift_check(model, shift, rep) -> float:
+    """Largest gap between the shifted report and hurwitz_model(a + B/A).
+
+    zeta(s) = A^(-s) zeta_H(s, a + B/A), so zeta'(0) = zeta_H'(0) - ln A zeta_H(0):
+    the reference table is built in closed form, without ``omega_table``.
     """
-    ref = hurwitz_model(model.params.get("a", 1.0) + shift.mu)
+    ref = hurwitz_model(_shifted_a(model, shift))
     base = classify_poles(ref.asym)
     A = shift.A
     gaps = [abs(rep.report.zeta0 - base.zeta0),
+            abs(rep.report.zeta_prime0 - (base.zeta_prime0 - base.zeta0 * cmath.log(A))),
             abs(rep.report.pole_at(1.0).residue - base.pole_at(1.0).residue / A)]
     gaps += [abs(v - A ** complex(-n) * zeta_int_leq_alpha(ref.asym, None, n))
              for n, v in rep.values.items()]
@@ -193,8 +200,13 @@ def cmd_shift(args) -> int:
     shift = ShiftParams(_cnum(args.A), _cnum(args.B))
     ln_f_shift = None
     branch_note = None
-    if model.name == "riemann" and shift.A == 1.0 and shift.B.imag == 0.0:
-        ln_f_shift = -ln_gamma_continued(1.0 + shift.B)
+    if model.name in ("riemann", "hurwitz"):
+        a_shift = _shifted_a(model, shift)
+        try:
+            ln_f_shift = -ln_gamma_continued(a_shift)
+        except DomainError:
+            raise DomainError(f"a + B/A = {_fmt(a_shift)} is a nonpositive integer: "
+                              "the sequence contains 0") from None
     elif model.eval is not None:
         try:
             f_val, _ = model.eval(-shift.mu)

@@ -2,8 +2,7 @@
 
 The Gamma family (scalar gamma, an array digamma, a row of Hurwitz zeta
 values zeta(n, a) for n = 2..n_max, and polygamma dispatched to those two),
-Bernoulli numbers and polynomials, Stirling numbers of the first kind,
-generalized binomial coefficients, and the branched logarithm used for
+Bernoulli numbers and polynomials, and the branched logarithm used for
 sequence powers.  All functions are pure and stateless.
 """
 
@@ -206,37 +205,6 @@ def bernoulli_poly_row(a, n_max: int) -> np.ndarray:
 def bernoulli_poly(n: int, a) -> complex:
     """Bernoulli polynomial B_n(a), the last entry of ``bernoulli_poly_row``."""
     return complex(bernoulli_poly_row(a, n)[-1])
-
-
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        above = prev[k] if k <= n - 1 else 0
-        left = prev[k - 1] if k - 1 <= n - 1 else 0
-        row[k] = left - (n - 1) * above
-    return tuple(row)
-
-
-def stirling_first(n: int, k: int) -> float:
-    """Signed Stirling number of the first kind s(n, k)."""
-    if not (0 <= k <= n <= 40):
-        raise DomainError("stirling_first requires 0 <= k <= n <= 40")
-    return float(_stirling_row(n)[k])
-
-
-def binomial_general(x, n: int) -> complex:
-    """Generalized binomial coefficient: falling factorial of x over n!."""
-    if n < 0:
-        raise DomainError("binomial order must be >= 0")
-    x = complex(x)
-    num = 1.0 + 0.0j
-    for i in range(n):
-        num *= x - i
-    return num / math.factorial(n)
 
 
 def log_psi(z, psi: float) -> complex:

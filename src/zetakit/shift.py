@@ -1,19 +1,21 @@
 """Linear transformation of the underlying sequence: lambda_n = A a_n + B.
 
-Transforms the asymptotic coefficient table through the Stirling/binomial
-re-expansion, and derives the shifted zeta function's poles, residues,
-value and derivative at 0, and integer special values.
+Re-expands the asymptotic coefficient table as a product of two power
+series in 1/z, (1 - mu/z)^x and the powers of ln(1 - mu/z), and derives the
+shifted zeta function's poles, residues, value and derivative at 0, and
+integer special values.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .asym import (AsymExpansion, PoleInfo, PoleReport, classify_poles,
                    zeta_int_leq_alpha, zeta_prime_zero)
 from .errors import DomainError
-from .kernels import binomial_general, stirling_first
-from .series import LogCoeffs
+from .series import series_mul
 
 _CANCEL_FLAG = 1e-10
 
@@ -45,63 +47,39 @@ class ShiftParams:
                            complex(doc["B"]["re"], doc["B"]["im"]))
 
 
-def mu_coeff(p: int, l: int, k: int, j: int, shift: complex,
-             alpha: float, m: int) -> complex:
-    """Re-expansion coefficient of (z - shift)^(alpha - j/m) ln^k(z - shift).
-
-    The coefficient of z^(alpha - j/m) ln^l(z) z^(-p-k+l) inside the
-    binom(k, l) bracket: a finite sum over Stirling numbers of the first
-    kind and generalized binomials.
-    """
-    if not (0 <= l <= k):
-        raise DomainError("mu_coeff needs 0 <= l <= k")
-    shift = complex(shift)
-    total = 0.0 + 0.0j
-    kl = k - l
-    for n in range(p + 1):
-        s_val = stirling_first(kl + n, kl)
-        if s_val == 0.0:
-            continue
-        total += (math.factorial(kl) / math.factorial(kl + n)) \
-            * binomial_general(alpha - j / m, p - n) * s_val
-    return (-shift) ** (kl + p) * total
-
-
 def omega_table(asym: AsymExpansion, shift: ShiftParams,
-                new_psi: float | None = None,
                 ln_f_shifted: complex | None = None) -> AsymExpansion:
     """Asymptotic table of ln F(z - B/A) from the table of ln F(z).
 
-    Every output entry is an exact finite combination of input entries with
-    smaller or equal j, so the full depth N is preserved; for B = 0 the
-    re-expansion is the identity.  ``new_psi`` defaults to psi + Arg(A)
-    (exact for B = 0); ``ln_f_shifted`` is the sector-continued ln F(-B/A)
-    and replaces the stored boundary value (kept unchanged when omitted,
-    which is only correct for B = 0).
+    With u = 1/z and x = alpha - j0/m, each source term re-expands as
+    d_{j0,k} z^x (1 - mu u)^x (ln z + ln(1 - mu u))^k, a product of two
+    power series in u whose u^p coefficient lands on Omega_{j0+mp, l}.  So
+    every output entry is a finite combination of input entries with
+    smaller or equal j, the full depth N is kept, and B = 0 is the
+    identity.  The branch angle becomes psi + Arg(A); ``ln_f_shifted`` is
+    the sector-continued ln F(-B/A) and replaces the stored boundary value
+    (kept unchanged when omitted, which is only correct for B = 0).
     """
     mu = shift.mu
-    a, m, M, N = asym.alpha, asym.m, asym.M, asym.N
-    out = {}
-    for j in range(N + 1):
-        for pw in range(M + 1):
-            acc = 0.0 + 0.0j
-            lmax = min(j // m, M - pw)
-            for l in range(lmax + 1):
-                nmax = j // m - l
-                for n in range(nmax + 1):
-                    src_j = j - m * (l + n)
-                    d_src = asym.entry(src_j, l + pw)
-                    if d_src == 0:
-                        continue
-                    acc += math.comb(l + pw, pw) * d_src * mu_coeff(
-                        n, pw, l + pw, src_j, mu, a, m)
-            if acc != 0:
-                out[(j, pw)] = acc
-    if new_psi is None:
-        new_psi = asym.psi + cmath.phase(shift.A)
+    m, M, N = asym.m, asym.M, asym.N
+    p_max = N // m
+    mu_pow = mu ** np.arange(p_max + 1)
+    log1m = np.r_[0.0, -mu_pow[1:] / np.arange(1, p_max + 1)]      # ln(1 - mu u)
+    log_pows = [np.ones(1, dtype=complex)]                         # its powers 0..M
+    for _ in range(M):
+        log_pows.append(series_mul(log_pows[-1], log1m, p_max))
+    omega = np.zeros((N + 1, M + 1), dtype=complex)
+    for (j0, k), d in asym.d.items():
+        n = (N - j0) // m
+        ratio = (np.arange(n) - asym.location(j0)) / np.arange(1.0, n + 1)
+        power = np.cumprod(np.r_[1.0, ratio]) * mu_pow[:n + 1]    # (1 - mu u)^x
+        for l in range(k + 1):
+            omega[j0::m, l] += math.comb(k, l) * d * series_mul(power, log_pows[k - l], n)
     ln_f0 = asym.ln_f0 if ln_f_shifted is None else complex(ln_f_shifted)
-    return AsymExpansion(alpha=a, m=m, M=M, N=N, d=out, psi=new_psi,
-                         ln_f0=ln_f0, delta=asym.delta)
+    return AsymExpansion(alpha=asym.alpha, m=m, M=M, N=N,
+                         d={jk: v for jk, v in np.ndenumerate(omega) if v != 0},
+                         psi=asym.psi + cmath.phase(shift.A), ln_f0=ln_f0,
+                         delta=asym.delta)
 
 
 @dataclass(frozen=True)
@@ -114,18 +92,16 @@ class ShiftedReport:
     flags: tuple = ()
 
 
-def shifted_values(asym: AsymExpansion, shift: ShiftParams,
-                   logc_shifted: LogCoeffs | None = None,
-                   n_values=(), new_psi: float | None = None,
+def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
                    ln_f_shifted: complex | None = None) -> ShiftedReport:
     """Pole structure and special values of zeta_{S_{A,B}}.
 
     Residues pick up the factor A^(j/m - alpha); zeta(0) is read from the
     transformed table; zeta'(0) adds the -Omega_{j',1} ln A term; integer
-    values in ``n_values`` carry the A^(-n) prefactor (positive n need
-    ``logc_shifted``, the log-coefficients of F(z - B/A) about 0).
+    values n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive
+    n <= alpha would need the Taylor side of F(z - B/A), which is not kept).
     """
-    om = omega_table(asym, shift, new_psi=new_psi, ln_f_shifted=ln_f_shifted)
+    om = omega_table(asym, shift, ln_f_shifted=ln_f_shifted)
     base = classify_poles(om)
     A = shift.A
     ln_a = cmath.log(A)
@@ -150,7 +126,7 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams,
         if n == 0:
             values[0] = base.zeta0
             continue
-        values[n] = A ** complex(-n) * zeta_int_leq_alpha(om, logc_shifted, n)
+        values[n] = A ** complex(-n) * zeta_int_leq_alpha(om, None, n)
     return ShiftedReport(om, report, values, tuple(flags))
 
 

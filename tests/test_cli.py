@@ -141,19 +141,40 @@ class TestShift:
         assert doc["check_discrepancy"] < 1e-12
 
     def test_check_sees_a_corrupted_table(self, capsys, monkeypatch):
+        # Omega[3, 0] feeds zeta(-2), Omega[1, 0] only zeta'(0)
         import dataclasses
         import zetakit.shift
         orig = zetakit.shift.omega_table
+        for key in ((3, 0), (1, 0)):
+            def corrupted(*args, **kwargs):
+                om = orig(*args, **kwargs)
+                return dataclasses.replace(om, d={**om.d, key: om.d[key] + 1e-3})
 
-        def corrupted(*args, **kwargs):
-            om = orig(*args, **kwargs)
-            return dataclasses.replace(om, d={**om.d, (3, 0): om.d[(3, 0)] + 1e-3})
+            monkeypatch.setattr(zetakit.shift, "omega_table", corrupted)
+            code, doc, _ = run_json(capsys, "shift", "--model", "riemann",
+                                    "--A", "1", "--B", "-0.75", "--check")
+            assert code == 0
+            assert doc["check_discrepancy"] > 1e-4, key
 
-        monkeypatch.setattr(zetakit.shift, "omega_table", corrupted)
-        code, doc, _ = run_json(capsys, "shift", "--model", "riemann",
-                                "--A", "1", "--B", "-0.75", "--check")
+    def test_zeta_prime0_branch_follows_the_scale(self, capsys):
+        # zeta'_A(0) = zeta'_mu(0) - ln A zeta_mu(0) for A a_n + B = A (a_n + mu)
+        _, one, _ = run_json(capsys, "shift", "--model", "riemann", "--A", "1", "--B=-1.5")
+        code, two, _ = run_json(capsys, "shift", "--model", "riemann", "--A", "2", "--B=-3")
         assert code == 0
-        assert doc["check_discrepancy"] > 1e-4
+        want = (complex(one["zeta_prime0"]["re"], one["zeta_prime0"]["im"])
+                - math.log(2.0) * complex(one["zeta0"]["re"], one["zeta0"]["im"]))
+        got = complex(two["zeta_prime0"]["re"], two["zeta_prime0"]["im"])
+        assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "riemann", "--A", "2", "--B=-2"),
+        ("--model", "riemann", "--A", "1", "--B=-1"),
+        ("--model", "hurwitz", "--a", "0.5", "--A", "1", "--B=-2.5")])
+    def test_sequence_with_zero_fails_cleanly(self, capsys, recwarn, argv):
+        code, out, err = run(capsys, "shift", *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("model", [("airy",), ("pcf", "--a", "1")])
     def test_check_without_route_fails_cleanly(self, capsys, model):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zetakit import (DomainError, EULER_GAMMA, UnsupportedOrderError,
-                     bernoulli_number, bernoulli_poly, binomial_general,
-                     digamma_polygamma, gamma, log_psi, stirling_first)
+                     bernoulli_number, bernoulli_poly, digamma_polygamma,
+                     gamma, log_psi)
 from zetakit.kernels import digamma, hurwitz_zeta_row, log_psi_array
 
 from conftest import rel_err
@@ -177,47 +177,6 @@ class TestBernoulliPoly:
                 lhs = bernoulli_poly(n, a + 1.0) - bernoulli_poly(n, a)
                 rhs = n * a ** (n - 1)
                 assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
-
-
-class TestStirling:
-    def test_triangle_oracle(self):
-        rows = {0: [1]}
-        for n in range(1, 21):
-            prev = rows[n - 1] + [0]
-            rows[n] = [0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)]
-            rows[n][0] = 0 if n else 1
-        for n in range(21):
-            for k in range(n + 1):
-                assert stirling_first(n, k) == float(rows[n][k])
-
-    def test_known_entries(self):
-        assert stirling_first(3, 1) == 2.0
-        assert stirling_first(4, 2) == 11.0
-        for n in (1, 7, 40):
-            assert stirling_first(n, n) == 1.0
-            assert stirling_first(n, 0) == 0.0
-
-    def test_range_errors(self):
-        with pytest.raises(DomainError):
-            stirling_first(41, 1)
-        with pytest.raises(DomainError):
-            stirling_first(3, 4)
-
-
-class TestBinomialGeneral:
-    def test_order_zero(self):
-        assert binomial_general(2.7 + 1j, 0) == 1.0
-
-    def test_three_halves(self):
-        assert binomial_general(1.5, 2) == pytest.approx(3.0 / 8.0)
-
-    def test_negative_one(self):
-        assert binomial_general(-1.0, 3) == pytest.approx(-1.0)
-
-    def test_integer_exact(self):
-        for n in range(8):
-            for k in range(n + 1):
-                assert binomial_general(float(n), k) == float(math.comb(n, k))
 
 
 class TestBranchedLog:

@@ -5,50 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetakit import (DomainError, ShiftParams, bernoulli_poly, gamma,
-                     mu_coeff, omega_table, rightmost_pole_check,
-                     shifted_values, zeta_series)
+from zetakit import (AsymExpansion, DomainError, ShiftParams, bernoulli_poly,
+                     gamma, omega_table, rightmost_pole_check, shifted_values,
+                     zeta_series)
 from zetakit.catalog import ln_gamma_continued
 
 from conftest import rel_err
-
-
-class TestMuCoeff:
-    def test_zero_shift_identity(self):
-        for (p, l, k) in ((0, 0, 0), (0, 2, 2), (3, 1, 1), (2, 0, 3)):
-            v = mu_coeff(p, l, k, 1, 0.0, 1.3, 2)
-            if p == 0 and l == k:
-                assert v == 1.0
-            else:
-                assert v == 0.0
-
-    def test_first_order(self):
-        mu = 0.37 - 0.21j
-        for j, alpha, m in ((0, 1.0, 1), (2, 1.5, 2), (3, 2.0, 1)):
-            v = mu_coeff(1, 0, 0, j, mu, alpha, m)
-            assert rel_err(v, -mu * (alpha - j / m)) < 1e-14
-
-    def test_series_expansion_oracle(self):
-        # sum_l binom(k,l) ln^l z sum_p mu_{p,l,k,j} z^{-p-k+l} reproduces
-        # (z - mu)^(alpha - j/m) ln^k (z - mu) at large z
-        mu = 0.6 + 0.3j
-        alpha, m, j = 1.5, 2, 1
-        x = alpha - j / m
-        for k in (0, 1, 2):
-            for z in (50.0 + 0j, 60.0 * cmath.exp(0.9j)):
-                direct = (z - mu) ** x * cmath.log(z - mu) ** k
-                acc = 0.0 + 0.0j
-                for l in range(k + 1):
-                    for p in range(12):
-                        acc += (math.comb(k, l) * cmath.log(z) ** l
-                                * mu_coeff(p, l, k, j, mu, alpha, m)
-                                * z ** (-p - k + l))
-                acc *= z ** x
-                assert rel_err(acc, direct) < 1e-12
-
-    def test_l_bounds(self):
-        with pytest.raises(DomainError):
-            mu_coeff(0, 2, 1, 0, 0.1, 1.0, 1)
 
 
 class TestOmegaTable:
@@ -60,6 +22,23 @@ class TestOmegaTable:
                 assert abs(om.entry(j, k) - v) <= 1e-14 * max(1.0, abs(v))
             for (j, k), v in om.d.items():
                 assert abs(model.asym.entry(j, k) - v) <= 1e-14 * max(1.0, abs(v))
+
+    def test_series_expansion_oracle(self):
+        # one-entry tables d[1, k] = 1 with alpha = 1.5, m = 2 (x = 1): the
+        # re-expanded sum of Omega[j, l] z^(alpha - j/m) ln^l z reproduces
+        # (z - mu)^x ln^k (z - mu) at large z; k = 2 covers M = 2
+        mu = 0.6 + 0.3j
+        alpha, m, j = 1.5, 2, 1
+        x = alpha - j / m
+        for k in (0, 1, 2):
+            src = AsymExpansion(alpha=alpha, m=m, M=2, N=j + 2 * 11,
+                                d={(j, k): 1.0}, psi=0.0)
+            om = omega_table(src, ShiftParams(1.0, mu))
+            for z in (50.0 + 0j, 60.0 * cmath.exp(0.9j)):
+                direct = (z - mu) ** x * cmath.log(z - mu) ** k
+                acc = sum(v * z ** (alpha - jj / m) * cmath.log(z) ** l
+                          for (jj, l), v in om.d.items())
+                assert rel_err(acc, direct) < 1e-12
 
     def test_hurwitz_closed_forms(self, riemann):
         for a in (0.25, 0.5, 2.0, -2.5):
