@@ -23,7 +23,7 @@ import numpy as np
 from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
 from .kernels import (bernoulli_poly_row, digamma, digamma_polygamma, gamma,
-                      hurwitz_zeta_row)
+                      hurwitz_zeta_row, log_psi_array)
 from .quadrature import gauss_jacobi
 from .series import PowerSeries, series_exp, series_mul
 
@@ -40,6 +40,12 @@ class ZeroSequence:
     the closed asymptotic formula.  ``g`` is the smooth continuation used by
     the Euler-Maclaurin tail, g(n) = a_n for n past the exact block: it maps
     an array x to g(x).  ``dg`` maps one x to (g', g'', g''').
+
+    Each sequence memoizes what a direct sum needs that does not depend on
+    s: the values and their logarithms (``log_table``), kept for every
+    later call at the same or a smaller count, and g with its derivatives
+    where the Euler-Maclaurin tail evaluates them (``tail_g``,
+    ``tail_point``).
     """
 
     alpha: float
@@ -48,18 +54,72 @@ class ZeroSequence:
     asym_fn: object
     g: object
     dg: object
-    _cache: dict = field(default_factory=dict, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _fill(self, count: int) -> dict:
+        """The memo holding at least the first count values, and n_pos: how
+        many of them lead the table as positive reals."""
+        if count < 0:
+            raise DomainError("count must be >= 0")
+        memo = self._cache.get("fill")
+        if memo is None or len(memo["vals"]) < count:
+            n_ex = min(count, self.n_exact)
+            exact = [self.exact_fn(n) for n in range(1, n_ex + 1)]
+            rest = [self.asym_fn(n) for n in range(n_ex + 1, count + 1)]
+            vals = np.asarray(exact + rest, dtype=complex)
+            vals.flags.writeable = False    # the log tables are built from it
+            bad = np.flatnonzero((vals.imag != 0.0) | ~(vals.real > 0.0))
+            memo = self._cache["fill"] = {
+                "vals": vals, "n_pos": int(bad[0]) if bad.size else len(vals)}
+        return memo
 
     def values(self, count: int) -> np.ndarray:
-        have = self._cache.get("vals")
-        if have is not None and len(have) >= count:
-            return have[:count]
-        n_ex = min(count, self.n_exact)
-        exact = [self.exact_fn(n) for n in range(1, n_ex + 1)]
-        rest = [self.asym_fn(n) for n in range(n_ex + 1, count + 1)]
-        vals = np.asarray(exact + rest, dtype=complex)
-        self._cache["vals"] = vals
-        return vals
+        """a_1 .. a_count: a read-only view into the memo."""
+        return self._fill(count)["vals"][:count]
+
+    def log_table(self, count: int, psi: float = math.pi) -> np.ndarray:
+        """ln a_n for n <= count, as a complex array.
+
+        The real log when a_1 .. a_count are all positive reals, else
+        ``log_psi_array`` with the cut at psi.  Each branch is built once
+        per fill, over the whole memo, and sliced per call.
+        """
+        memo = self._fill(count)
+        psi = None if count <= memo["n_pos"] else float(psi)
+        if ("ln", psi) not in memo:
+            rows = memo["vals"][:memo["n_pos"]] if psi is None else memo["vals"]
+            memo["ln", psi] = _log_rows(rows, psi)
+            memo["ln", psi].flags.writeable = False
+        return memo["ln", psi][:count]
+
+    def tail_g(self, n_start: int, x) -> np.ndarray:
+        """g(x) as a complex array, memoized per (n_start, len(x)).
+
+        ``euler_maclaurin_tail`` from n_start evaluates its integrand on the
+        same k nodes for every s.  An x that differs from the stored nodes
+        is evaluated afresh and takes their place.
+        """
+        x = np.asarray(x, dtype=float)
+        key, nodes = ("g", n_start, x.size), x.tobytes()
+        hit = self._cache.get(key)
+        if hit is None or hit[0] != nodes:
+            hit = self._cache[key] = nodes, np.array(self.g(x), dtype=complex)
+            hit[1].flags.writeable = False
+        return hit[1]
+
+    def tail_point(self, x: float) -> tuple:
+        """(g(x), g'(x), g''(x), g'''(x)) at one x, g(x) as complex; memoized per x."""
+        key = ("dg", x)
+        if key not in self._cache:
+            self._cache[key] = (complex(self.g(x)), *self.dg(x))
+        return self._cache[key]
+
+
+def _log_rows(vals, psi):
+    """ln of every entry of vals: the real log of the real parts when psi is None."""
+    if psi is None:
+        return np.log(vals.real).astype(complex)
+    return log_psi_array(vals, psi)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
 from .errors import (ConditioningWarning, DomainError, PoleError,
                      SlowConvergenceError, StripError)
-from .kernels import log_psi_array
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 
 _DEFAULT_QUAD_TOL = 1e-11
@@ -26,20 +25,21 @@ def _is_exact_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real == round(s.real)
 
 
-def _tail_derivs(zeros: ZeroSequence, s: complex):
-    """f, f', f''' for f(x) = g(x)^(-s) given the sequence's smooth tail g."""
-    g, dg = zeros.g, zeros.dg
+def _tail_derivs(zeros: ZeroSequence, s: complex, n: int):
+    """f, f', f''' for f(x) = g(x)^(-s) on the tail from n.
 
+    g and its derivatives come from the sequence's memo, since the tail
+    evaluates them at the same points for every s.
+    """
     def f(x):
-        return np.asarray(g(np.asarray(x, dtype=float)), dtype=complex) ** (-s)
+        return zeros.tail_g(n, x) ** (-s)
 
     def fp(x):
-        g1, _, _ = dg(x)
-        return -s * complex(g(x)) ** (-s - 1.0) * g1
+        g0, g1, _, _ = zeros.tail_point(x)
+        return -s * g0 ** (-s - 1.0) * g1
 
     def fppp(x):
-        g1, g2, g3 = dg(x)
-        g0 = complex(g(x))
+        g0, g1, g2, g3 = zeros.tail_point(x)
         return (-s * (s + 1.0) * (s + 2.0) * g0 ** (-s - 3.0) * g1 ** 3
                 + 3.0 * s * (s + 1.0) * g0 ** (-s - 2.0) * g1 * g2
                 - s * g0 ** (-s - 1.0) * g3)
@@ -52,22 +52,22 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
 
     The branch of the power is the cut-at-psi logarithm (default: principal).
     The head is one pairwise ``np.sum`` over the term array; the tail is
-    ``euler_maclaurin_tail`` with the decay exponent p = s/alpha.  Requires
-    Re(s) > alpha + 0.25 so the tail estimate is trustworthy.
+    ``euler_maclaurin_tail`` with the decay exponent p = s/alpha.  Only the
+    s-dependent work runs per call: the log table of the a_n and g at the
+    tail's nodes are memoized on the sequence (see ``ZeroSequence``).
+    Requires n_terms >= 0, and Re(s) > alpha + 0.25 so the tail estimate is
+    trustworthy.
     """
     s = complex(s)
+    if n_terms < 0:
+        raise DomainError("n_terms must be >= 0")
     if s.real <= zeros.alpha + 0.25:
         raise SlowConvergenceError(
             f"Re s = {s.real} too close to the abscissa alpha = {zeros.alpha}; "
             "use the continued representation instead")
-    vals = zeros.values(n_terms)
-    if np.all(vals.imag == 0.0) and np.all(vals.real > 0.0):
-        logs = np.log(vals.real).astype(complex)
-    else:
-        logs = log_psi_array(vals, psi)
-    head = complex(np.sum(np.exp(-s * logs)))
-    f, fp, fppp = _tail_derivs(zeros, s)
-    tail = euler_maclaurin_tail(f, fp, fppp, n_terms + 1, s / zeros.alpha)
+    head = complex(np.sum(np.exp(-s * zeros.log_table(n_terms, psi))))
+    n = n_terms + 1
+    tail = euler_maclaurin_tail(*_tail_derivs(zeros, s, n), n, s / zeros.alpha)
     return head + tail
 
 

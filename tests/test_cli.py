@@ -224,6 +224,19 @@ class TestPointCommands:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_series_negative_nterms_fails_cleanly(self, capsys):
+        code, out, err = run(capsys, "series", "--model", "airy", "--s", "3", "--nterms", "-5")
+        assert code == 1
+        assert out == "" and err == "error: n_terms must be >= 0\n"
+
+    def test_series_tail_alone(self, capsys):
+        # --nterms 0 sums nothing directly: the Euler-Maclaurin tail from n = 1,
+        # with two correction terms, is zeta(3) to about 3 %
+        code, doc, _ = run_json(capsys, "series", "--model", "riemann",
+                                "--s", "3", "--nterms", "0")
+        assert code == 0
+        assert doc["value"]["re"] == pytest.approx(1.2020569031595942, rel=0.05)
+
     def test_series_check_off_integers(self, capsys):
         code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
         assert code == 0

@@ -1,13 +1,17 @@
+import collections
 import dataclasses
 import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+import zetakit.catalog
 from zetakit import (ConditioningWarning, DomainError, PoleError,
-                     SlowConvergenceError, StripError, contour_zeta,
-                     continued_zeta, hurwitz_model, zeta_pos_int, zeta_series)
+                     SlowConvergenceError, StripError, airy_zeros, contour_zeta,
+                     continued_zeta, hurwitz_model, riemann_model, zeta_pos_int,
+                     zeta_series)
 
 from conftest import rel_err
 
@@ -52,6 +56,62 @@ class TestZetaSeries:
         got = zeta_series(hm.zeros, 3.0, 4000)
         ref = complex(mp.zeta(3, mp.mpc(0.5, 0.5)))
         assert abs(got - ref) < 1e-10
+
+    def test_negative_terms(self, airy):
+        with pytest.raises(DomainError, match="n_terms must be >= 0"):
+            zeta_series(airy.zeros, 3.0, -5)
+        with pytest.raises(DomainError):
+            airy.zeros.values(-1)
+
+
+# fresh sequences: positive reals, integers, some negative values (both log
+# branches in one table), complex values (cut-at-psi logs only)
+SEQUENCES = {"airy": airy_zeros, "riemann": lambda: riemann_model().zeros,
+             "hurwitz(-1.3)": lambda: hurwitz_model(-1.3).zeros,
+             "hurwitz(0.4+0.7j)": lambda: hurwitz_model(0.4 + 0.7j).zeros}
+
+
+class TestSeriesMemo:
+    """zeta_series memoizes its s-independent work on the sequence: the same
+    bits whatever the memo already holds, and that work done once."""
+
+    N = 3000
+    S = (2.5, 3.0 + 1.5j, 6.0)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_same_bits_after_other_calls(self, name):
+        fresh = {psi: [zeta_series(SEQUENCES[name](), s, self.N, psi) for s in self.S]
+                 for psi in (math.pi, 2.0)}
+        used = SEQUENCES[name]()
+        used.values(2 * self.N)
+        for psi in (2.0, math.pi):
+            zeta_series(used, self.S[0], 2 * self.N, psi)
+            zeta_series(used, self.S[0], self.N // 2, psi)
+        for psi in (math.pi, 2.0):
+            assert [zeta_series(used, s, self.N, psi) for s in self.S] == fresh[psi]
+
+    @pytest.mark.parametrize("name", ["airy", "hurwitz(0.4+0.7j)"])
+    def test_work_done_once(self, monkeypatch, name):
+        seq = SEQUENCES[name]()
+        arrays = collections.Counter()       # g on arrays, by length
+
+        def g(x):
+            if np.ndim(x):
+                arrays[np.size(x)] += 1
+            return seq.g(x)
+
+        log_rows, build = [], zetakit.catalog._log_rows
+
+        def count_log_rows(vals, psi):
+            log_rows.append(psi)
+            return build(vals, psi)
+
+        monkeypatch.setattr(zetakit.catalog, "_log_rows", count_log_rows)
+        counted = dataclasses.replace(seq, g=g)
+        for s in np.linspace(2.0, 8.0, 40):
+            zeta_series(counted, s, self.N)
+        assert len(log_rows) == 1
+        assert arrays and max(arrays.values()) == 1
 
 
 class TestContourZeta:
