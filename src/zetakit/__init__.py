@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .aaa import BarycentricModel, aaa_fit, bary_eval, derivative_at, find_real_features
 from .asym import (AsymExpansion, PoleInfo, PoleReport, classify_poles,
-                   heaviside, l_asy_eval, log_compose, residue_at,
-                   zeta_int_leq_alpha, zeta_prime_zero)
+                   l_asy_eval, log_compose, residue_at, zeta_int_leq_alpha,
+                   zeta_prime_zero)
 from .catalog import (CatalogModel, ZeroSequence, airy_model, airy_zeros,
                       chf_model, hurwitz_model, model_from_spec, pcf_model,
                       riemann_model)
@@ -27,7 +27,7 @@ from .kernels import (EULER_GAMMA, bernoulli_number, bernoulli_poly,
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 from .series import (LogCoeffs, PowerSeries, exact_sum_rule, hadamardize,
                      log_coeffs, zeta_pos_int, zeta_via_bell)
-from .shift import ShiftParams, omega_table, rightmost_pole_check, shifted_values
+from .shift import ShiftParams, omega_table, shifted_values
 
 __all__ = [
     "AsymExpansion", "BarycentricModel", "CatalogModel", "LogCoeffs",
@@ -36,11 +36,11 @@ __all__ = [
     "bernoulli_poly", "chf_model", "classify_poles", "contour_zeta",
     "continued_zeta", "derivative_at", "digamma_polygamma",
     "euler_maclaurin_tail", "exact_sum_rule", "find_real_features", "gamma",
-    "hadamardize", "heaviside", "hurwitz_model", "l_asy_eval", "log_coeffs",
+    "hadamardize", "hurwitz_model", "l_asy_eval", "log_coeffs",
     "log_compose", "log_psi", "model_from_spec", "omega_table", "pcf_model",
-    "quad_adaptive", "residue_at", "riemann_model", "rightmost_pole_check",
-    "shifted_values", "zeta_int_leq_alpha", "zeta_pos_int", "zeta_prime_zero",
-    "zeta_series", "zeta_via_bell", "EULER_GAMMA",
+    "quad_adaptive", "residue_at", "riemann_model", "shifted_values",
+    "zeta_int_leq_alpha", "zeta_pos_int", "zeta_prime_zero", "zeta_series",
+    "zeta_via_bell", "EULER_GAMMA",
     "ZetakitError", "DomainError", "UnsupportedOrderError", "PoleError",
     "NeedsContinuationError", "StripError", "AccuracyError",
     "SlowConvergenceError", "DivergenceError", "RefinementError",

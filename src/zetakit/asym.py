@@ -22,11 +22,8 @@ from .series import LogCoeffs, PowerSeries, log_coeffs
 
 _ZERO_THRESHOLD = 1e-14
 _INT_TOL = 1e-9
-
-
-def heaviside(x: float) -> float:
-    """Step function with the closed-at-zero convention: 1 for x >= 0."""
-    return 1.0 if x >= 0 else 0.0
+_INDETERMINATE_AT_0 = ("indeterminate at 0: M >= 2 but the order-(M-1) "
+                       "residue combination cancels")
 
 
 def _near_int(x: float, tol: float = _INT_TOL):
@@ -201,49 +198,51 @@ def residue_at(asym: AsymExpansion, j: int) -> complex:
     return res
 
 
+def _grid_point(asym: AsymExpansion, j: int):
+    """What row j of the table gives at its location x0 = alpha - j/m.
+
+    The one meromorphic rule every reader shares.  With kbar the top
+    nonzero log power, the row carries a pole (a ``PoleInfo``) whose order
+    is kbar at nonzero integers and one more off the integers; at s = 0 a
+    pole of order M - 1 when M >= 2, or None when its residue cancels.
+    Else the regular value: x0 d_{j,0}, d_{j,1} at s = 0, and 0 for an
+    empty row.
+    """
+    kbar = asym.max_log_power(j)
+    if kbar is None:
+        return 0.0 + 0.0j
+    x0 = asym.location(j)
+    is_int, _ = _near_int(x0)
+    if is_int and abs(x0) <= _INT_TOL:
+        if asym.M <= 1:
+            return asym.entry(j, 1)
+        res0 = residue_at(asym, j)
+        return PoleInfo(0.0, asym.M - 1, res0) if abs(res0) > _ZERO_THRESHOLD else None
+    order = kbar if is_int else kbar + 1
+    if order >= 1:
+        return PoleInfo(x0, order, residue_at(asym, j))
+    return x0 * asym.entry(j, 0)
+
+
 def classify_poles(asym: AsymExpansion) -> PoleReport:
     """Pole locations, orders, and residues implied by the table.
 
-    A grid point alpha - j/m with top nonzero log power kbar carries a pole
-    of order kbar + 1 off the integers and kbar at nonzero integers; order-0
-    entries are regular and omitted.  s = 0 is regular for M <= 1 with the
-    stored value; for M >= 2 it is a pole of order M - 1 in general.
+    Every row is read by the one grid-point rule of ``_grid_point``: the
+    poles are the rows that give one, and regular rows are omitted.
+    zeta(0) is what the row at s = 0 gives (0 when there is none): its
+    stored value d_{j',1} for M <= 1, in general a pole of order M - 1 for
+    M >= 2.  zeta'(0) is reported for M <= 1.
     """
-    poles = []
-    zeta0 = 0.0 + 0.0j
-    zeta0_is_pole = False
-    notes = []
+    rows = {j: _grid_point(asym, j) for j in sorted({jk[0] for jk in asym.d})}
+    poles = tuple(p for p in rows.values() if isinstance(p, PoleInfo))
     j_at_zero = asym.j_for_location(0.0)
-    for j in sorted({jk[0] for jk in asym.d}):
-        kbar = asym.max_log_power(j)
-        if kbar is None:
-            continue
-        x0 = asym.location(j)
-        is_int, _ = _near_int(x0)
-        if is_int and abs(x0) <= _INT_TOL:
-            if asym.M <= 1:
-                zeta0 = asym.entry(j, 1)
-            else:
-                res0 = residue_at(asym, j)
-                if abs(res0) > _ZERO_THRESHOLD:
-                    poles.append(PoleInfo(0.0, asym.M - 1, res0))
-                    zeta0 = None
-                    zeta0_is_pole = True
-                else:
-                    notes.append("indeterminate at 0: M >= 2 but the order-(M-1) "
-                                 "residue combination cancels")
-                    zeta0 = None
-            continue
-        order = kbar if is_int else kbar + 1
-        if order >= 1:
-            poles.append(PoleInfo(x0, order, residue_at(asym, j)))
-    if j_at_zero is None:
-        zeta0 = 0.0 + 0.0j
-    poles.sort(key=lambda p: -p.location)
-    zp0 = None
-    if asym.M <= 1 and not zeta0_is_pole:
-        zp0 = zeta_prime_zero(asym)
-    return PoleReport(tuple(poles), zeta0, zeta0_is_pole, zp0, tuple(notes))
+    zeta0 = rows.get(j_at_zero, 0.0 + 0.0j)
+    notes = (_INDETERMINATE_AT_0, ) if zeta0 is None else ()
+    zeta0_is_pole = isinstance(zeta0, PoleInfo)
+    if zeta0_is_pole:
+        zeta0 = None
+    zp0 = zeta_prime_zero(asym) if asym.M <= 1 else None
+    return PoleReport(poles, zeta0, zeta0_is_pole, zp0, notes)
 
 
 def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
@@ -255,11 +254,12 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
     real-sequence variant i*pi*m_neg + Re d_{j',0} - pi*Im d_{j',1} - ln|F(0)|
     is returned instead.
     """
-    if asym.M > 1:
-        jz = asym.j_for_location(0.0)
-        res0 = residue_at(asym, jz) if jz is not None else 0.0 + 0.0j
-        raise PoleError(0.0, asym.M - 1, res0)
     jz = asym.j_for_location(0.0)
+    if asym.M > 1:
+        at0 = 0.0 + 0.0j if jz is None else _grid_point(asym, jz)
+        if isinstance(at0, PoleInfo):
+            raise PoleError(at0.location, at0.order, at0.residue)
+        raise DomainError("zeta'(0) from the table needs M <= 1")
     d0 = asym.entry(jz, 0) if jz is not None else 0.0 + 0.0j
     d1 = asym.entry(jz, 1) if jz is not None else 0.0 + 0.0j
     if m_neg is None:
@@ -271,8 +271,9 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
 def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> complex:
     """Continued value at a nonzero integer n <= alpha (must be regular).
 
-    Positive n need the Taylor-side log-coefficients; negative n are read
-    off the table alone (structurally zero when the entry is absent).
+    The table gives what its row at n gives (structurally zero off the
+    grid or for an empty row); positive n also subtract n b_n, the
+    Taylor-side log-coefficient.
     """
     if n == 0:
         raise DomainError("use classify_poles for s = 0")
@@ -282,18 +283,16 @@ def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> c
         raise StripError(
             f"n = {n} lies left of the proven strip edge {asym.strip_left_edge():.3f}")
     j = asym.j_for_location(float(n))
-    if j is not None:
-        kbar = asym.max_log_power(j)
-        if kbar is not None and kbar >= 1:
-            raise PoleError(float(n), kbar, residue_at(asym, j))
-    d_entry = asym.entry(j, 0) if j is not None else 0.0 + 0.0j
+    value = 0.0 + 0.0j if j is None else _grid_point(asym, j)
+    if isinstance(value, PoleInfo):
+        raise PoleError(float(n), value.order, value.residue)
     if n >= 1:
         if logc is None:
             raise DomainError("positive n <= alpha needs the Taylor log-coefficients")
         if n > logc.order:
             raise DomainError("log-coefficients truncated below n")
-        return n * (d_entry - logc[n])
-    return n * d_entry
+        return value - n * logc[n]
+    return value
 
 
 def _tail_integral(mu: complex, n: int, R: float, log_r: complex) -> complex:
@@ -319,9 +318,9 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
     """Closed-form asymptotic block of the continued representation.
 
     Evaluates the finite double sum obtained by integrating the subtracted
-    asymptotic terms along the ray from R to infinity.  At grid locations
-    the regular limit is taken; pole locations raise :class:`PoleError`
-    carrying the residue.
+    asymptotic terms along the ray from R to infinity.  At a grid location
+    the term of its row is what ``classify_poles`` reads there: the regular
+    value, or a :class:`PoleError` carrying the order and residue.
     """
     s = complex(s)
     if R <= 0:
@@ -335,24 +334,21 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
     total = 0.0 + 0.0j
     for j in sorted({jk[0] for jk in asym.d}):
         x0 = asym.location(j)
-        kbar = asym.max_log_power(j)
-        if kbar is None:
+        top = asym.max_log_power(j)
+        if top is None:
+            continue
+        if abs(s - x0) < 1e-12:
+            got = _grid_point(asym, j)
+            if isinstance(got, PoleInfo):
+                raise PoleError(got.location, got.order, got.residue)
+            if got is None:
+                raise DomainError(_INDETERMINATE_AT_0)
+            total += got
             continue
         phase = cmath.exp(1j * x0 * asym.psi)
-        if abs(s - x0) < 1e-12:
-            # on-grid point: regular limit or pole
-            is_int, n_int = _near_int(x0)
-            order = (kbar if is_int else kbar + 1)
-            if is_int and abs(x0) <= _INT_TOL and asym.M <= 1:
-                total += asym.entry(j, 1)
-                continue
-            if is_int and order == 0:
-                total += x0 * asym.entry(j, 0)
-                continue
-            raise PoleError(x0, order, residue_at(asym, j))
         mu = -s + x0
         acc = 0.0 + 0.0j
-        for k in range(kbar + 1):
+        for k in range(top + 1):
             djk = asym.entry(j, k)
             if djk == 0:
                 continue

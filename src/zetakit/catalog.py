@@ -57,8 +57,7 @@ class ZeroSequence:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _fill(self, count: int) -> dict:
-        """The memo holding at least the first count values, and n_pos: how
-        many of them lead the table as positive reals."""
+        """The memo holding at least the first count values."""
         if count < 0:
             raise DomainError("count must be >= 0")
         memo = self._cache.get("fill")
@@ -68,9 +67,7 @@ class ZeroSequence:
             rest = [self.asym_fn(n) for n in range(n_ex + 1, count + 1)]
             vals = np.asarray(exact + rest, dtype=complex)
             vals.flags.writeable = False    # the log tables are built from it
-            bad = np.flatnonzero((vals.imag != 0.0) | ~(vals.real > 0.0))
-            memo = self._cache["fill"] = {
-                "vals": vals, "n_pos": int(bad[0]) if bad.size else len(vals)}
+            memo = self._cache["fill"] = {"vals": vals}
         return memo
 
     def values(self, count: int) -> np.ndarray:
@@ -78,19 +75,17 @@ class ZeroSequence:
         return self._fill(count)["vals"][:count]
 
     def log_table(self, count: int, psi: float = math.pi) -> np.ndarray:
-        """ln a_n for n <= count, as a complex array.
+        """ln a_n for n <= count with the cut at psi, as a complex array.
 
-        The real log when a_1 .. a_count are all positive reals, else
-        ``log_psi_array`` with the cut at psi.  Each branch is built once
-        per fill, over the whole memo, and sliced per call.
+        One ``log_psi_array`` table per psi, built once per fill over the
+        whole memo and sliced per call.
         """
         memo = self._fill(count)
-        psi = None if count <= memo["n_pos"] else float(psi)
-        if ("ln", psi) not in memo:
-            rows = memo["vals"][:memo["n_pos"]] if psi is None else memo["vals"]
-            memo["ln", psi] = _log_rows(rows, psi)
-            memo["ln", psi].flags.writeable = False
-        return memo["ln", psi][:count]
+        key = ("ln", float(psi))
+        if key not in memo:
+            memo[key] = log_psi_array(memo["vals"], psi)
+            memo[key].flags.writeable = False
+        return memo[key][:count]
 
     def tail_g(self, n_start: int, x) -> np.ndarray:
         """g(x) as a complex array, memoized per (n_start, len(x)).
@@ -113,13 +108,6 @@ class ZeroSequence:
         if key not in self._cache:
             self._cache[key] = (complex(self.g(x)), *self.dg(x))
         return self._cache[key]
-
-
-def _log_rows(vals, psi):
-    """ln of every entry of vals: the real log of the real parts when psi is None."""
-    if psi is None:
-        return np.log(vals.real).astype(complex)
-    return log_psi_array(vals, psi)
 
 
 @dataclass(frozen=True)
@@ -250,6 +238,10 @@ def riemann_model(order: int = 30, depth: int = 14) -> CatalogModel:
                    closed_forms={0: "-1/2", -1: "-1/12"})
 
 
+def _is_nonpos_int(w: complex) -> bool:
+    return w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real)
+
+
 def ln_gamma_continued(a: complex) -> complex:
     """ln Gamma(a) on the branch reached through the cut sector.
 
@@ -257,9 +249,9 @@ def ln_gamma_continued(a: complex) -> complex:
     the continuation picks up -i*pi*floor(a).
     """
     a = complex(a)
+    if _is_nonpos_int(a):
+        raise DomainError("log Gamma pole at nonpositive integer")
     if a.imag == 0.0 and a.real < 0.0:
-        if a.real == math.floor(a.real):
-            raise DomainError("log Gamma pole at nonpositive integer")
         return complex(math.log(abs(gamma(a))), -math.pi * math.floor(a.real))
     return cmath.log(gamma(a))
 
@@ -277,7 +269,7 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     log-series exponentiated at a + m does not cancel like a^-n.
     """
     a = complex(a)
-    if a.imag == 0.0 and a.real <= 0.0 and a.real == math.floor(a.real):
+    if _is_nonpos_int(a):
         raise DomainError("parameter a must avoid the nonpositive integers")
     if a.imag == 0.0:
         a = complex(a.real, 0.0)
@@ -548,10 +540,6 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
 
 # ---------------------------------------------------------------------------
 # Confluent hypergeometric M(a, b, z)
-
-def _is_nonpos_int(w: complex) -> bool:
-    return w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real)
-
 
 def chf_model(a, b, depth: int = 8, order: int = 30) -> CatalogModel:
     """Model for the zeros of M(a, b, z); a, b, b-a not nonpositive integers.

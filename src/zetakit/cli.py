@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: values, poles, shift, series, contour, continue, aaa, catalog.
-Every command accepts --json for a schema-stable document and --check to
-re-derive the result along an independent route and report the discrepancy.
+Every command accepts --json for a schema-stable document.  Every command
+but aaa and catalog accepts --check to re-derive the result along an
+independent route and report the discrepancy.  The numeric options are
+declared only where they are read, so any other use is a usage error:
+--R, --tmax and --tol on values, series, contour and continue; --R (the
+radius of the residue check) on poles; --tol (the AAA tolerance) on aaa.
 """
 
 import argparse
@@ -337,18 +341,23 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _add_common(p, with_s=False):
+_NUMERIC_FLAGS = {"R": "circle radius", "tmax": "upper bound of the ray-cutoff search",
+                  "tol": "tolerance override"}
+
+
+def _add_common(p, *numeric, check=True, with_s=False):
+    """--model, --a, --b, --json, --check unless check=False, and the named
+    numeric flags (R, tmax, tol): a subcommand declares only what it reads."""
     p.add_argument("--model", required=True,
                    help="model name (%s) or a JSON spec" % "|".join(_MODELS))
     p.add_argument("--a", default=None, help="model parameter a")
     p.add_argument("--b", default=None, help="model parameter b")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
-    p.add_argument("--check", action="store_true",
-                   help="re-derive through an independent route")
-    p.add_argument("--R", type=float, default=None, help="circle radius")
-    p.add_argument("--tmax", type=float, default=None,
-                   help="upper bound of the ray-cutoff search")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    if check:
+        p.add_argument("--check", action="store_true",
+                       help="re-derive through an independent route")
+    for name in numeric:
+        p.add_argument(f"--{name}", type=float, default=None, help=_NUMERIC_FLAGS[name])
     if with_s:
         p.add_argument("--s", required=True, help="evaluation point (complex ok)")
 
@@ -360,13 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"zetakit {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
+    every = tuple(_NUMERIC_FLAGS)
     p = sub.add_parser("values", help="special values at integers")
-    _add_common(p)
+    _add_common(p, *every)
     p.add_argument("--n", required=True, help="integer or range lo..hi")
     p.set_defaults(fn=cmd_values)
 
     p = sub.add_parser("poles", help="pole locations, orders, residues")
-    _add_common(p)
+    _add_common(p, "R")
     p.set_defaults(fn=cmd_poles)
 
     p = sub.add_parser("shift", help="linear sequence transformation A*a_n + B")
@@ -376,20 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shift)
 
     p = sub.add_parser("series", help="direct series summation")
-    _add_common(p, with_s=True)
+    _add_common(p, *every, with_s=True)
     p.add_argument("--nterms", type=int, default=10000)
     p.set_defaults(fn=lambda a: _point_command(a, "series"))
 
     p = sub.add_parser("contour", help="deformed-contour quadrature")
-    _add_common(p, with_s=True)
+    _add_common(p, *every, with_s=True)
     p.set_defaults(fn=lambda a: _point_command(a, "contour"))
 
     p = sub.add_parser("continue", help="analytically continued representation")
-    _add_common(p, with_s=True)
+    _add_common(p, *every, with_s=True)
     p.set_defaults(fn=lambda a: _point_command(a, "continue"))
 
     p = sub.add_parser("aaa", help="rational continuation of series samples")
-    _add_common(p)
+    _add_common(p, "tol", check=False)
     p.add_argument("--npoints", type=int, default=100)
     p.add_argument("--nterms", type=int, default=10000)
     p.set_defaults(fn=cmd_aaa)

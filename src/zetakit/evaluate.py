@@ -21,10 +21,6 @@ from .quadrature import euler_maclaurin_tail, quad_adaptive
 _DEFAULT_QUAD_TOL = 1e-11
 
 
-def _is_exact_integer(s: complex) -> bool:
-    return s.imag == 0.0 and s.real == round(s.real)
-
-
 def _tail_derivs(zeros: ZeroSequence, s: complex, n: int):
     """f, f', f''' for f(x) = g(x)^(-s) on the tail from n.
 
@@ -55,8 +51,9 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     ``euler_maclaurin_tail`` with the decay exponent p = s/alpha.  Only the
     s-dependent work runs per call: the log table of the a_n and g at the
     tail's nodes are memoized on the sequence (see ``ZeroSequence``).
-    Requires n_terms >= 0, and Re(s) > alpha + 0.25 so the tail estimate is
-    trustworthy.
+    Requires n_terms >= 0, Re(s) > alpha + 0.25, and Re g(N) >= 1 at the
+    tail's start N = n_terms + 1 (read from the memo), so the tail estimate
+    is trustworthy; else it raises ``DomainError`` before summing.
     """
     s = complex(s)
     if n_terms < 0:
@@ -65,8 +62,13 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
         raise SlowConvergenceError(
             f"Re s = {s.real} too close to the abscissa alpha = {zeros.alpha}; "
             "use the continued representation instead")
-    head = complex(np.sum(np.exp(-s * zeros.log_table(n_terms, psi))))
     n = n_terms + 1
+    g_start = zeros.tail_point(n)[0].real
+    if not g_start >= 1.0:
+        raise DomainError(
+            f"the Euler-Maclaurin tail from N = {n} starts at Re g(N) = {g_start:.6g} "
+            "< 1; sum more terms directly (raise n_terms)")
+    head = complex(np.sum(np.exp(-s * zeros.log_table(n_terms, psi))))
     tail = euler_maclaurin_tail(*_tail_derivs(zeros, s, n), n, s / zeros.alpha)
     return head + tail
 
@@ -125,14 +127,16 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
     bare F'/F on [R, a) is a finite integral.  The contour representation
     takes a = T, so it shares no subtracted term with the continued one.  The
     cutoff T grows while the subtracted integrand still has signal above the
-    differencing-roundoff floor, and never past ``t_max``.  At exact integers
-    the sine prefactor is 0, so the ray is skipped and a = max(R, 1).
+    differencing-roundoff floor, and never past ``t_max``.  Where the
+    prefactor ``ray_prefactor`` is 0 (at exact integers) the ray is skipped
+    and a = max(R, 1).
     """
     tol = _DEFAULT_QUAD_TOL if quad_tol is None else float(quad_tol)
     R = _default_radius(model, R)
     total = _circle_term(model, s, R, tol)
     split, ray = max(R, 1.0), 0.0
-    if not _is_exact_integer(s):
+    pref = ray_prefactor(s, asym.psi)
+    if pref != 0:
         eipsi = cmath.exp(1j * asym.psi)
 
         def log_deriv(t):
@@ -164,7 +168,7 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
         t = np.array([t_up])
         eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
         split = split if continued else t_up
-        ray = ray_prefactor(s, asym.psi) * quad_adaptive(
+        ray = pref * quad_adaptive(
             lambda t: integrand(t, log_deriv(t), split), R, t_up, abs_tol=eff_tol,
             initial_points=[*_geometric_points(R, t_up), split])
     return total + l_asy_eval(asym, s, split) + ray

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asym import (AsymExpansion, PoleInfo, PoleReport, classify_poles,
-                   zeta_int_leq_alpha, zeta_prime_zero)
+                   zeta_int_leq_alpha)
 from .errors import DomainError
 from .series import series_mul
 
@@ -97,7 +97,7 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     """Pole structure and special values of zeta_{S_{A,B}}.
 
     Residues pick up the factor A^(j/m - alpha); zeta(0) is read from the
-    transformed table; zeta'(0) adds the -Omega_{j',1} ln A term; integer
+    transformed table; zeta'(0) = zeta_Omega'(0) - ln A zeta_Omega(0); integer
     values n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive
     n <= alpha would need the Taylor side of F(z - B/A), which is not kept).
     """
@@ -114,10 +114,8 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
         if 0 < abs(v) < _CANCEL_FLAG:
             flags.append(f"possible cancellation in Omega[{j},{k}] = {abs(v):.2e}")
     zeta_prime0 = None
-    if om.M <= 1 and not base.zeta0_is_pole:
-        jz = om.j_for_location(0.0)
-        om1 = om.entry(jz, 1) if jz is not None else 0.0
-        zeta_prime0 = zeta_prime_zero(om) - om1 * ln_a
+    if base.zeta_prime0 is not None:
+        zeta_prime0 = base.zeta_prime0 - base.zeta0 * ln_a
     report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole,
                         zeta_prime0, base.notes)
     values = {}
@@ -129,19 +127,3 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
         values[n] = A ** complex(-n) * zeta_int_leq_alpha(om, None, n)
     return ShiftedReport(om, report, values, tuple(flags))
 
-
-def rightmost_pole_check(asym: AsymExpansion, shift: ShiftParams):
-    """Order invariance and residue ratio at the rightmost pole s = alpha.
-
-    Returns (order, ratio) where ratio is the transformed residue divided
-    by the original one; the transformation theory predicts A^(-alpha).
-    """
-    orig = classify_poles(asym)
-    p0 = orig.pole_at(asym.alpha)
-    if p0 is None:
-        raise DomainError("s = alpha is not a pole of the input table")
-    shifted = shifted_values(asym, shift)
-    p1 = shifted.report.pole_at(asym.alpha)
-    if p1 is None or p1.order != p0.order:
-        raise DomainError("transformed table lost the rightmost pole or its order")
-    return p1.order, p1.residue / p0.residue

@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetakit import (AsymExpansion, DomainError, PoleError, StripError,
-                     classify_poles, gamma, heaviside, l_asy_eval,
-                     log_coeffs, log_compose, residue_at, zeta_int_leq_alpha,
-                     zeta_prime_zero)
+from zetakit import (AsymExpansion, DomainError, PoleError, ShiftParams,
+                     StripError, classify_poles, gamma, hurwitz_model,
+                     l_asy_eval, log_coeffs, log_compose, omega_table,
+                     residue_at, zeta_int_leq_alpha, zeta_prime_zero)
 
 from conftest import rel_err
-
-
-def test_heaviside_closed_at_zero():
-    assert heaviside(0.0) == 1.0
-    assert heaviside(3.0) == 1.0
-    assert heaviside(-1e-12) == 0.0
 
 
 class TestLogCompose:
@@ -270,3 +264,49 @@ class TestLAsyEval:
     def test_strip_error(self, airy):
         with pytest.raises(StripError):
             l_asy_eval(airy.asym, -100.0, 2.0)
+
+
+class TestOneGridRule:
+    """classify_poles, l_asy_eval and zeta_int_leq_alpha read a row alike."""
+
+    def test_pole_at_zero_m2_same_everywhere(self):
+        a = AsymExpansion(alpha=1.0, m=1, M=2, N=4, d={(1, 2): 1.0, (1, 1): 0.3}, psi=2.0)
+        p = classify_poles(a).pole_at(0.0)
+        for call in (lambda: l_asy_eval(a, 0.0, 1.0), lambda: zeta_prime_zero(a)):
+            with pytest.raises(PoleError) as exc:
+                call()
+            got = exc.value
+            assert (got.location, got.order, got.residue) == (p.location, p.order, p.residue)
+        assert p.order == 1
+
+    def test_cancelled_residue_at_zero_is_indeterminate(self):
+        a = AsymExpansion(alpha=1.0, m=1, M=2, N=4, d={(1, 1): 0.3}, psi=2.0)
+        rep = classify_poles(a)
+        assert rep.zeta0 is None and not rep.zeta0_is_pole and rep.notes
+        with pytest.raises(DomainError, match="indeterminate"):
+            l_asy_eval(a, 0.0, 1.0)
+        with pytest.raises(DomainError, match="needs M <= 1"):
+            zeta_prime_zero(a)
+
+    @staticmethod
+    def _same_integer_values(asym):
+        poles = classify_poles(asym)
+        n = -1
+        while n > asym.strip_left_edge():
+            if poles.pole_at(float(n)) is None:
+                assert l_asy_eval(asym, n, 1.0) == zeta_int_leq_alpha(asym, None, n), n
+            n -= 1
+
+    @pytest.mark.parametrize("model", ["riemann", "hurwitz_quarter", "airy", "pcf_one",
+                                       "chf_half"])
+    def test_l_asy_eval_is_the_integer_value(self, request, model):
+        self._same_integer_values(request.getfixturevalue(model).asym)
+
+    def test_shifted_table_below_threshold_reads_zero(self):
+        # Omega of hurwitz(0.3) shifted to a = 1/2 keeps roundoff-sized
+        # entries where B_j(1/2) = 0; both readers take them as 0
+        source = hurwitz_model(0.3).asym
+        self._same_integer_values(source)
+        omega = omega_table(source, ShiftParams(1.0, 0.2))
+        self._same_integer_values(omega)
+        assert [zeta_int_leq_alpha(omega, None, n) for n in (-2, -4, -6)] == [0, 0, 0]

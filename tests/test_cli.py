@@ -176,6 +176,15 @@ class TestShift:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("a", ["0.3", "0.8"])
+    def test_trivial_zeros_exact(self, capsys, a):
+        # a + B/A is 1/2 or 1: zeta(-2k) = 0 exactly, not the roundoff of Omega
+        code, doc, _ = run_json(capsys, "shift", "--model", "hurwitz", "--a", a,
+                                "--A", "1", "--B", "0.2")
+        assert code == 0
+        for n in ("-2", "-4", "-6"):
+            assert doc["values"][n] == {"re": 0.0, "im": 0.0}
+
     @pytest.mark.parametrize("model", [("airy",), ("pcf", "--a", "1")])
     def test_check_without_route_fails_cleanly(self, capsys, model):
         code, out, err = run(capsys, "shift", "--model", *model,
@@ -237,6 +246,13 @@ class TestPointCommands:
         assert code == 0
         assert doc["value"]["re"] == pytest.approx(1.2020569031595942, rel=0.05)
 
+    def test_series_tail_start_below_one_fails_cleanly(self, capsys):
+        code, out, err = run(capsys, "series", "--model", "hurwitz", "--a", "-1.3",
+                             "--s", "3", "--nterms", "2")
+        assert code == 1
+        assert out == "" and err.startswith("error: the Euler-Maclaurin tail from N = 3")
+        assert len(err.splitlines()) == 1
+
     def test_series_check_off_integers(self, capsys):
         code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
         assert code == 0
@@ -260,6 +276,23 @@ class TestAaa:
         assert doc["converged"]
         assert doc["verification"]["zeta0"]["re"] == pytest.approx(-0.25, abs=1e-4)
         assert any(-1.05 <= z <= -0.95 for z in doc["features"]["zeros"])
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ("poles", "--model", "airy", "--tmax", "50"),
+        ("poles", "--model", "airy", "--tol", "1e-6"),
+        ("shift", "--model", "riemann", "--A", "2", "--B", "0.5", "--R", "0.5"),
+        ("shift", "--model", "riemann", "--A", "2", "--B", "0.5", "--tmax", "50"),
+        ("shift", "--model", "riemann", "--A", "2", "--B", "0.5", "--tol", "1e-6"),
+        ("aaa", "--model", "airy", "--R", "5"),
+        ("aaa", "--model", "airy", "--tmax", "50"),
+        ("aaa", "--model", "airy", "--check")])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCatalog:

@@ -63,9 +63,21 @@ class TestZetaSeries:
         with pytest.raises(DomainError):
             airy.zeros.values(-1)
 
+    @pytest.mark.parametrize("a, n_terms", [(-1.3, 0), (-1.3, 2), (-0.5, 1), (0.3, 0),
+                                            (0.4 + 0.7j, 0)])
+    def test_tail_start_below_one_rejected(self, a, n_terms):
+        # Re g(n_terms + 1) < 1: the tail estimate was off by 1e-2 to 13x
+        with pytest.raises(DomainError, match="Re g"):
+            zeta_series(hurwitz_model(a).zeros, 3.0, n_terms)
 
-# fresh sequences: positive reals, integers, some negative values (both log
-# branches in one table), complex values (cut-at-psi logs only)
+    def test_tail_start_at_one_accepted(self):
+        # hurwitz(-1.3) from n_terms = 3: g(4) = 1.7
+        ref = complex(mp.zeta(3, -1.3))
+        assert rel_err(zeta_series(hurwitz_model(-1.3).zeros, 3.0, 3), ref) < 5e-3
+
+
+# fresh sequences: positive reals, integers, some negative values, complex
+# values
 SEQUENCES = {"airy": airy_zeros, "riemann": lambda: riemann_model().zeros,
              "hurwitz(-1.3)": lambda: hurwitz_model(-1.3).zeros,
              "hurwitz(0.4+0.7j)": lambda: hurwitz_model(0.4 + 0.7j).zeros}
@@ -100,17 +112,17 @@ class TestSeriesMemo:
                 arrays[np.size(x)] += 1
             return seq.g(x)
 
-        log_rows, build = [], zetakit.catalog._log_rows
+        log_tables, build = [], zetakit.catalog.log_psi_array
 
-        def count_log_rows(vals, psi):
-            log_rows.append(psi)
+        def count_log_tables(vals, psi):
+            log_tables.append(psi)
             return build(vals, psi)
 
-        monkeypatch.setattr(zetakit.catalog, "_log_rows", count_log_rows)
+        monkeypatch.setattr(zetakit.catalog, "log_psi_array", count_log_tables)
         counted = dataclasses.replace(seq, g=g)
         for s in np.linspace(2.0, 8.0, 40):
             zeta_series(counted, s, self.N)
-        assert len(log_rows) == 1
+        assert len(log_tables) == 1
         assert arrays and max(arrays.values()) == 1
 
 

@@ -3,10 +3,9 @@ import math
 
 import mpmath as mp
 import numpy as np
-import pytest
 
-from zetakit import (AsymExpansion, DomainError, ShiftParams, bernoulli_poly,
-                     gamma, omega_table, rightmost_pole_check, shifted_values,
+from zetakit import (AsymExpansion, ShiftParams, bernoulli_poly,
+                     classify_poles, gamma, omega_table, shifted_values,
                      zeta_series)
 from zetakit.catalog import ln_gamma_continued
 
@@ -152,21 +151,26 @@ def test_shift_params_json_roundtrip():
     assert back.A == sp.A and back.B == sp.B
 
 
+def _rightmost_poles(asym, shift):
+    """The pole at s = alpha before and after the shift (None where absent)."""
+    return (classify_poles(asym).pole_at(asym.alpha),
+            shifted_values(asym, shift).report.pole_at(asym.alpha))
+
+
 class TestRightmostPole:
     def test_riemann_ratios(self, riemann):
         for A in (2.0, 1j, 1 + 1j):
-            order, ratio = rightmost_pole_check(riemann.asym, ShiftParams(A, 0.3))
-            assert order == 1
-            assert rel_err(ratio, complex(A) ** -1.0) < 1e-10
+            p0, p1 = _rightmost_poles(riemann.asym, ShiftParams(A, 0.3))
+            assert p0.order == p1.order == 1
+            assert rel_err(p1.residue / p0.residue, complex(A) ** -1.0) < 1e-10
 
     def test_airy_scaled_residue(self, airy):
-        order, ratio = rightmost_pole_check(airy.asym, ShiftParams(2.0, 0.0))
-        assert order == 1
-        assert rel_err(ratio, 2.0 ** -1.5) < 1e-10
+        p0, p1 = _rightmost_poles(airy.asym, ShiftParams(2.0, 0.0))
+        assert p0.order == p1.order == 1
+        assert rel_err(p1.residue / p0.residue, 2.0 ** -1.5) < 1e-10
 
-    def test_no_pole_at_alpha_rejected(self, pcf_one):
-        with pytest.raises(DomainError):
-            rightmost_pole_check(pcf_one.asym, ShiftParams(2.0, 0.0))
+    def test_no_pole_at_alpha_stays_absent(self, pcf_one):
+        assert _rightmost_poles(pcf_one.asym, ShiftParams(2.0, 0.0)) == (None, None)
 
 
 class TestNegativeBinomialRelation:
