@@ -66,7 +66,9 @@ def aaa_fit(points, samples, rel_tol: float = 1e-13,
 
     Stops when the largest residual drops below ``rel_tol`` times the
     sample scale, or at ``max_degree`` support points (best-effort model
-    with the reached residual recorded).
+    with the reached residual recorded).  The weights are the last row of
+    V^H from the thin SVD of the Loewner matrix (``full_matrices=False``):
+    U is formed only in the columns V^H needs, which leaves V^H unchanged.
     """
     z = np.asarray(points, dtype=float).ravel()
     f = np.asarray(samples, dtype=complex).ravel()
@@ -96,7 +98,7 @@ def aaa_fit(points, samples, rel_tol: float = 1e-13,
         fj = f[support_idx]
         C = 1.0 / (z[mask, None] - zj[None, :])
         A = (f[mask, None] - fj[None, :]) * C
-        _, _, vh = np.linalg.svd(A)
+        vh = np.linalg.svd(A, full_matrices=False)[2]
         wj = vh[-1, :].conj()
         num = C.dot(wj * fj)
         den = C.dot(wj)

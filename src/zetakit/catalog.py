@@ -24,7 +24,7 @@ from .asym import AsymExpansion, log_compose
 from .errors import DomainError, RefinementError
 from .kernels import (bernoulli_poly_row, digamma, digamma_polygamma, gamma,
                       hurwitz_zeta_row, log_psi_array)
-from .quadrature import gauss_jacobi
+from .quadrature import gauss_jacobi, tail_nodes
 from .series import PowerSeries, series_exp, series_mul
 
 RIEMANN_PSI = 3.0 * math.pi / 4.0
@@ -43,9 +43,9 @@ class ZeroSequence:
 
     Each sequence memoizes what a direct sum needs that does not depend on
     s: the values and their logarithms (``log_table``), kept for every
-    later call at the same or a smaller count, and g with its derivatives
-    where the Euler-Maclaurin tail evaluates them (``tail_g``,
-    ``tail_point``).
+    later call at the same or a smaller count, and, per tail start N, g on
+    the one node array where the Euler-Maclaurin tail first evaluates its
+    integrand together with g, g', g'', g''' at N (``tail_table``).
     """
 
     alpha: float
@@ -87,27 +87,24 @@ class ZeroSequence:
             memo[key].flags.writeable = False
         return memo[key][:count]
 
-    def tail_g(self, n_start: int, x) -> np.ndarray:
-        """g(x) as a complex array, memoized per (n_start, len(x)).
+    def tail_table(self, n_start: int) -> tuple:
+        """What the Euler-Maclaurin tail from N = n_start reads of g, memoized per N.
 
-        ``euler_maclaurin_tail`` from n_start evaluates its integrand on the
-        same k nodes for every s.  An x that differs from the stored nodes
-        is evaluated afresh and takes their place.
+        (nodes, g(nodes), (g(N), g'(N), g''(N), g'''(N))): ``nodes`` is
+        ``tail_nodes(N)``, the array on which ``euler_maclaurin_tail`` first
+        evaluates its integrand, g(nodes) a read-only complex array and g(N)
+        a complex number.  The entry is rebuilt when ``tail_nodes`` hands
+        out a new array for N.
         """
-        x = np.asarray(x, dtype=float)
-        key, nodes = ("g", n_start, x.size), x.tobytes()
+        nodes = tail_nodes(n_start)
+        key = ("tail", n_start)
         hit = self._cache.get(key)
-        if hit is None or hit[0] != nodes:
-            hit = self._cache[key] = nodes, np.array(self.g(x), dtype=complex)
-            hit[1].flags.writeable = False
-        return hit[1]
-
-    def tail_point(self, x: float) -> tuple:
-        """(g(x), g'(x), g''(x), g'''(x)) at one x, g(x) as complex; memoized per x."""
-        key = ("dg", x)
-        if key not in self._cache:
-            self._cache[key] = (complex(self.g(x)), *self.dg(x))
-        return self._cache[key]
+        if hit is None or hit[0] is not nodes:
+            g_nodes = np.array(self.g(nodes), dtype=complex)
+            g_nodes.flags.writeable = False
+            hit = self._cache[key] = (nodes, g_nodes,
+                                      (complex(self.g(n_start)), *self.dg(n_start)))
+        return hit
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ independent route and report the discrepancy.  The numeric options are
 declared only where they are read, so any other use is a usage error:
 --R, --tmax and --tol on values, series, contour and continue; --R (the
 radius of the residue check) on poles; --tol (the AAA tolerance) on aaa.
+An undeclared flag is reported with the usage line of its subcommand.
 """
 
 import argparse
@@ -373,45 +374,47 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("values", help="special values at integers")
     _add_common(p, *every)
     p.add_argument("--n", required=True, help="integer or range lo..hi")
-    p.set_defaults(fn=cmd_values)
+    p.set_defaults(fn=cmd_values, usage_error=p.error)
 
     p = sub.add_parser("poles", help="pole locations, orders, residues")
     _add_common(p, "R")
-    p.set_defaults(fn=cmd_poles)
+    p.set_defaults(fn=cmd_poles, usage_error=p.error)
 
     p = sub.add_parser("shift", help="linear sequence transformation A*a_n + B")
     _add_common(p)
     p.add_argument("--A", required=True, help="scale factor (complex ok)")
     p.add_argument("--B", required=True, help="offset (complex ok)")
-    p.set_defaults(fn=cmd_shift)
+    p.set_defaults(fn=cmd_shift, usage_error=p.error)
 
     p = sub.add_parser("series", help="direct series summation")
     _add_common(p, *every, with_s=True)
     p.add_argument("--nterms", type=int, default=10000)
-    p.set_defaults(fn=lambda a: _point_command(a, "series"))
+    p.set_defaults(fn=lambda a: _point_command(a, "series"), usage_error=p.error)
 
     p = sub.add_parser("contour", help="deformed-contour quadrature")
     _add_common(p, *every, with_s=True)
-    p.set_defaults(fn=lambda a: _point_command(a, "contour"))
+    p.set_defaults(fn=lambda a: _point_command(a, "contour"), usage_error=p.error)
 
     p = sub.add_parser("continue", help="analytically continued representation")
     _add_common(p, *every, with_s=True)
-    p.set_defaults(fn=lambda a: _point_command(a, "continue"))
+    p.set_defaults(fn=lambda a: _point_command(a, "continue"), usage_error=p.error)
 
     p = sub.add_parser("aaa", help="rational continuation of series samples")
     _add_common(p, "tol", check=False)
     p.add_argument("--npoints", type=int, default=100)
     p.add_argument("--nterms", type=int, default=10000)
-    p.set_defaults(fn=cmd_aaa)
+    p.set_defaults(fn=cmd_aaa, usage_error=p.error)
 
     p = sub.add_parser("catalog", help="list bundled models")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_catalog)
+    p.set_defaults(fn=cmd_catalog, usage_error=p.error)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:       # reported with the usage line of the subcommand
+        args.usage_error("unrecognized arguments: " + " ".join(extra))
     try:
         return args.fn(args)
     except ZetakitError as exc:

@@ -9,6 +9,7 @@ complex values of the same length.  Panels are summed in deterministic
 product-integration rule on Gauss-Legendre nodes.
 """
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -162,15 +163,63 @@ def gauss_jacobi(n: int, beta: float):
 
 @lru_cache(maxsize=None)
 def _legendre_rule(k: int):
-    """k Gauss-Legendre nodes u on [0, 1] and the matrix taking the values
-    h(u) to the coefficients of h in the basis P_j(2u - 1), j < k."""
+    """k Gauss-Legendre nodes u on [0, 1], the same nodes as complex numbers,
+    and the matrix taking the values h(u) to the coefficients of h in the
+    basis P_j(2u - 1), j < k.  The matrix is complex, the type of every h it
+    multiplies, so no product casts it."""
     u, w = gauss_jacobi(k, 0.0)
     p = [np.ones(k), 2.0 * u - 1.0]
     for j in range(1, k - 1):
         p.append(((2 * j + 1) * p[1] * p[j] - j * p[j - 1]) / (j + 1))
-    coef = (2.0 * np.arange(k) + 1.0)[:, None] * np.array(p) * w
-    coef.flags.writeable = False
-    return u, coef
+    rule = u, u.astype(complex), (2.0 * np.arange(k) + 1.0)[:, None] * np.array(p) * w + 0j
+    for v in rule[1:]:
+        v.flags.writeable = False
+    return rule
+
+
+# the tail's node counts: k doubles from 6 until two successive rules agree;
+# the first two rules are evaluated on one array, at these offsets in it
+_TAIL_LEVELS = (6, 12, 24, 48, 96)
+_FIRST_LEVELS = {6: 0, 12: 6}
+_MOMENT_J = np.arange(1.0, _TAIL_LEVELS[-1]) + 0j
+
+
+@lru_cache(maxsize=1)
+def _first_nodes():
+    """The nodes of the first rules in one array, followed by 1 so that N/u
+    ends at N, and the same nodes without the 1 as complex numbers."""
+    rules = [_legendre_rule(k) for k in _FIRST_LEVELS]
+    first = (np.concatenate([r[0] for r in rules] + [[1.0]]),
+             np.concatenate([r[1] for r in rules]))
+    for v in first:
+        v.flags.writeable = False
+    return first
+
+
+@lru_cache(maxsize=1024)
+def tail_nodes(n_start) -> np.ndarray:
+    """The points where ``euler_maclaurin_tail`` from n_start first evaluates
+    f: N/u over the nodes of its 6- and 12-node rules, then N itself.
+
+    One read-only array per n_start, the same object on every call while it
+    stays in the cache, so a caller may memoize values of f there by identity.
+    """
+    x = float(n_start) / _first_nodes()[0]
+    x.flags.writeable = False
+    return x
+
+
+def _tail_moments(p: complex, k: int) -> np.ndarray:
+    """m_j = int_0^1 u^(p-2) P_j(2u - 1) du for j < k, as a running product.
+
+    The product runs in order, so a shorter table is a prefix of a longer one.
+    """
+    q = p - 1.0
+    j = _MOMENT_J[:k - 1]
+    ratios = np.empty(k, dtype=complex)
+    ratios[0] = 1.0 / q
+    np.divide(q - j, q + j, out=ratios[1:])
+    return np.multiply.accumulate(ratios)
 
 
 def euler_maclaurin_tail(f, fp, fppp, n_start: int, p) -> complex:
@@ -188,24 +237,37 @@ def euler_maclaurin_tail(f, fp, fppp, n_start: int, p) -> complex:
     k- and 2k-node values agree to 1e-14 max(1, |I|).  DivergenceError
     when Re p <= 1, or when no pair up to 96 nodes agrees, which is what a
     wrongly declared p causes.
+
+    f is called once on ``tail_nodes(n_start)``, which holds the nodes of
+    the 6- and 12-node rules and N, and once more for each later rule the
+    check needs; u^-p over those 18 nodes is taken once, and the moments
+    only as far as the rule reached.  fp and fppp are called at N only.
+    Each rule's value has the bits it has when that rule is evaluated on
+    its own.
     """
     p = complex(p)
     if p.real <= 1.0:
         raise DivergenceError(f"tail decay x^-({p}) is not integrable")
     n = float(n_start)
-    j = np.arange(1.0, 96.0)
-    moments = np.cumprod(np.concatenate(([1.0 / (p - 1.0)], (p - 1.0 - j) / (p - 1.0 + j))))
-    prev = None
-    for k in (6, 12, 24, 48, 96):
-        u, coef = _legendre_rule(k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = n * np.asarray(f(n / u), dtype=complex) * u ** -p
-        integral = complex((moments[:k] * (coef * h).sum(1)).sum())    # no BLAS buffers
-        if not np.isfinite(integral):
-            raise DivergenceError(f"non-finite tail integrand from {n_start}")
-        if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
-            f_n = complex(f(np.array([n]))[0])
-            return integral + f_n / 2.0 - complex(fp(n)) / 12.0 + complex(fppp(n)) / 720.0
-        prev = integral
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.asarray(f(tail_nodes(n_start)), dtype=complex)
+        h_first = n * fx[:-1] * _first_nodes()[1] ** -p
+        moments = _tail_moments(p, 12)
+        prev = None
+        for k in _TAIL_LEVELS:
+            u, u_complex, coef = _legendre_rule(k)
+            if k in _FIRST_LEVELS:
+                h = h_first[_FIRST_LEVELS[k]:_FIRST_LEVELS[k] + k]
+            else:
+                h = n * np.asarray(f(n / u), dtype=complex) * u_complex ** -p
+                moments = _tail_moments(p, k)
+            # the ufunc's own reduce, not the sum method's Python wrapper; no BLAS
+            integral = complex(np.add.reduce(moments[:k] * np.add.reduce(coef * h, 1)))
+            if not cmath.isfinite(integral):
+                raise DivergenceError(f"non-finite tail integrand from {n_start}")
+            if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
+                f_n = complex(fx[-1])
+                return integral + f_n / 2.0 - complex(fp(n)) / 12.0 + complex(fppp(n)) / 720.0
+            prev = integral
     raise DivergenceError(
         f"tail integral from {n_start} did not converge at 96 nodes; is p = {p} right?")

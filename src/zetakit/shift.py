@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asym import (AsymExpansion, PoleInfo, PoleReport, classify_poles,
-                   zeta_int_leq_alpha)
+from .asym import (_ZERO_THRESHOLD, AsymExpansion, PoleInfo, PoleReport,
+                   classify_poles, zeta_int_leq_alpha)
 from .errors import DomainError
 from .series import series_mul
 
+# an Omega entry between the table's zero threshold and this is flagged as a
+# possible cancellation; one at or below the threshold reads as an exact zero
 _CANCEL_FLAG = 1e-10
 
 
@@ -100,6 +102,9 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     transformed table; zeta'(0) = zeta_Omega'(0) - ln A zeta_Omega(0); integer
     values n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive
     n <= alpha would need the Taylor side of F(z - B/A), which is not kept).
+    ``flags`` notes each Omega entry of modulus in (1e-14, 1e-10), where
+    digits may have cancelled; smaller entries are exact zeros to every
+    table reader and are not flagged.
     """
     om = omega_table(asym, shift, ln_f_shifted=ln_f_shifted)
     base = classify_poles(om)
@@ -111,7 +116,7 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
         poles.append(PoleInfo(p.location, p.order,
                               A ** complex(-p.location) * p.residue))
     for (j, k), v in om.d.items():
-        if 0 < abs(v) < _CANCEL_FLAG:
+        if _ZERO_THRESHOLD < abs(v) < _CANCEL_FLAG:
             flags.append(f"possible cancellation in Omega[{j},{k}] = {abs(v):.2e}")
     zeta_prime0 = None
     if base.zeta_prime0 is not None:

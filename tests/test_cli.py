@@ -185,6 +185,14 @@ class TestShift:
         for n in ("-2", "-4", "-6"):
             assert doc["values"][n] == {"re": 0.0, "im": 0.0}
 
+    @pytest.mark.parametrize("a", ["0.3", "0.8"])
+    def test_no_cancellation_notes_on_exact_zeros(self, capsys, a):
+        # the Omega entries behind the trivial zeros are roundoff below 1e-14
+        code, out, _ = run(capsys, "shift", "--model", "hurwitz", "--a", a,
+                           "--A", "1", "--B", "0.2")
+        assert code == 0
+        assert "zeta(-6) = 0\n" in out and "note:" not in out
+
     @pytest.mark.parametrize("model", [("airy",), ("pcf", "--a", "1")])
     def test_check_without_route_fails_cleanly(self, capsys, model):
         code, out, err = run(capsys, "shift", "--model", *model,
@@ -292,7 +300,36 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: zetakit {argv[0]} ") and "unrecognized arguments" in err
+
+    VALID = {
+        "values": ("--model", "riemann", "--n=-1"),
+        "poles": ("--model", "riemann"),
+        "shift": ("--model", "riemann", "--A", "2", "--B", "0.5"),
+        "series": ("--model", "riemann", "--s", "2"),
+        "contour": ("--model", "riemann", "--s", "2"),
+        "continue": ("--model", "riemann", "--s", "2"),
+        "aaa": ("--model", "airy"),
+        "catalog": (),
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(VALID))
+    def test_undeclared_flag_shows_the_subcommand_usage(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *self.VALID[cmd], "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: zetakit {cmd} [-h]")
+        assert err.rstrip().endswith(f"zetakit {cmd}: error: unrecognized arguments: --bogus 1")
+
+    def test_aaa_lists_the_flags_it_takes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["aaa", "--model", "airy", "--check", "--R", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: zetakit aaa ") and "--npoints NPOINTS" in err
+        assert "unrecognized arguments: --check --R 5" in err
 
 
 class TestCatalog:

@@ -125,6 +125,15 @@ class TestSeriesMemo:
         assert len(log_tables) == 1
         assert arrays and max(arrays.values()) == 1
 
+    def test_rebuilt_when_the_node_cache_drops_its_array(self):
+        # the memo finds the tail's nodes by identity; a new array for the
+        # same N (after the cache let the old one go) rebuilds the entry
+        seq = SEQUENCES["airy"]()
+        want = [zeta_series(seq, s, self.N) for s in self.S]
+        zetakit.quadrature.tail_nodes.cache_clear()
+        assert [zeta_series(seq, s, self.N) for s in self.S] == want
+        assert seq.tail_table(self.N + 1)[0] is zetakit.quadrature.tail_nodes(self.N + 1)
+
 
 class TestContourZeta:
     def test_riemann_integers(self, riemann):

@@ -6,9 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from zetakit import (AccuracyError, DivergenceError, airy_zeros, continued_zeta,
-                     euler_maclaurin_tail, quad_adaptive)
+                     euler_maclaurin_tail, hurwitz_model, quad_adaptive, riemann_model,
+                     zeta_series)
 from zetakit import evaluate
-from zetakit.quadrature import _WG, _WK, _XK
+from zetakit.quadrature import _WG, _WK, _XK, gauss_jacobi
 
 
 def _power_tail(s):
@@ -260,5 +261,89 @@ class TestPowerTailRule:
         # h(u) = N f(N/u) u^-p non-smooth at u = 0, and the rules disagree
         f, fp, fppp = _power_tail(2.0)
         for n in N_STARTS:
+            rec = _Recorder(f)
             with pytest.raises(DivergenceError):
-                euler_maclaurin_tail(f, fp, fppp, n, p)
+                euler_maclaurin_tail(rec, fp, fppp, n, p)
+            # one array for the 6- and 12-node rules and N, then one per rule
+            assert rec.sizes == [19, 24, 48, 96], n
+
+
+def _per_level_tail(f, fp, fppp, n_start, p):
+    """Reference: the tail rule with each Legendre rule evaluated on its own,
+    f called per rule and at N, every moment built up front.  Returns the
+    estimate and the node count it stopped at."""
+    p = complex(p)
+    n = float(n_start)
+    j = np.arange(1.0, 96.0)
+    moments = np.cumprod(np.concatenate(([1.0 / (p - 1.0)], (p - 1.0 - j) / (p - 1.0 + j))))
+    prev = None
+    for k in (6, 12, 24, 48, 96):
+        u, w = gauss_jacobi(k, 0.0)
+        legendre = [np.ones(k), 2.0 * u - 1.0]
+        for i in range(1, k - 1):
+            legendre.append(((2 * i + 1) * legendre[1] * legendre[i]
+                             - i * legendre[i - 1]) / (i + 1))
+        coef = (2.0 * np.arange(k) + 1.0)[:, None] * np.array(legendre) * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = n * np.asarray(f(n / u), dtype=complex) * u ** -p
+        integral = complex((moments[:k] * (coef * h).sum(1)).sum())
+        assert np.isfinite(integral)
+        if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
+            f_n = complex(f(np.array([n]))[0])
+            value = integral + f_n / 2.0 - complex(fp(n)) / 12.0 + complex(fppp(n)) / 720.0
+            return value, k
+        prev = integral
+    raise AssertionError("no two rules agree")
+
+
+def _sequence_tail(zeros, s):
+    """f = g^-s, f' and f''' from the sequence's g and dg, nothing memoized."""
+    def f(x):
+        return np.asarray(zeros.g(x), dtype=complex) ** -s
+
+    def fp(x):
+        g0, (g1, _, _) = complex(zeros.g(x)), zeros.dg(x)
+        return -s * g0 ** (-s - 1.0) * g1
+
+    def fppp(x):
+        g0, (g1, g2, g3) = complex(zeros.g(x)), zeros.dg(x)
+        return (-s * (s + 1.0) * (s + 2.0) * g0 ** (-s - 3.0) * g1 ** 3
+                + 3.0 * s * (s + 1.0) * g0 ** (-s - 2.0) * g1 * g2
+                - s * g0 ** (-s - 1.0) * g3)
+
+    return f, fp, fppp
+
+
+TAIL_SEQUENCES = {
+    "riemann": lambda: riemann_model().zeros,
+    "hurwitz(0.3)": lambda: hurwitz_model(0.3).zeros,
+    "hurwitz(0.4+0.7j)": lambda: hurwitz_model(0.4 + 0.7j).zeros,
+    "airy": lambda: airy_zeros(60),
+}
+
+
+class TestSameBitsAsPerLevel:
+    """The tail evaluates f once for its first two rules and N together; every
+    value keeps the bits of the rule-by-rule evaluation."""
+
+    @pytest.mark.parametrize("name", sorted(TAIL_SEQUENCES))
+    @pytest.mark.parametrize("n", [2, 2001, 6001, 10001])   # from 2, most need 24 or 48 nodes
+    def test_sequence_tails(self, name, n):
+        zeros = TAIL_SEQUENCES[name]()
+        for s in (2.0 + 0j, 3.7 + 0j, 8.0 + 0j, 3.0 + 1.5j):
+            p = s / zeros.alpha
+            want, _ = _per_level_tail(*_sequence_tail(zeros, s), n, p)
+            assert euler_maclaurin_tail(*_sequence_tail(zeros, s), n, p) == want, s
+            # the memoized integrand of zeta_series, and the sample it ends in
+            table = zeros.tail_table(n)
+            assert euler_maclaurin_tail(*evaluate._tail_derivs(zeros, s, table), n, p) == want
+            head = complex(np.sum(np.exp(-s * zeros.log_table(n - 1))))
+            assert zeta_series(zeros, s, n - 1) == head + want, s
+
+    def test_one_call_of_f_when_twelve_nodes_agree(self):
+        zeros = TAIL_SEQUENCES["airy"]()
+        f, fp, fppp = _sequence_tail(zeros, 3.0 + 0j)
+        assert _per_level_tail(f, fp, fppp, 6001, 2.0)[1] == 12
+        rec = _Recorder(f)
+        euler_maclaurin_tail(rec, fp, fppp, 6001, 2.0)
+        assert rec.sizes == [19]

@@ -141,6 +141,14 @@ class TestShiftedValues:
         p = rep.report.pole_at(1.5)
         assert rel_err(p.residue, 2.0 ** -1.5 / math.pi) < 1e-12
 
+    def test_cancellation_flags_skip_exact_zeros(self):
+        # the identity shift keeps the table; entries at or below 1e-14 are
+        # exact zeros to every table reader, a 1e-12 entry may have lost digits
+        d = {(0, 1): 1.0, (2, 0): 1e-12, (3, 0): 1.08e-19, (4, 0): 1e-14, (5, 0): 0.5}
+        src = AsymExpansion(alpha=1.0, m=1, M=1, N=6, d=d, psi=0.0)
+        rep = shifted_values(src, ShiftParams(1.0, 0.0))
+        assert rep.flags == ("possible cancellation in Omega[2,0] = 1.00e-12",)
+
 
 def test_shift_params_json_roundtrip():
     sp = ShiftParams(2.0 - 1.0j, 0.25 + 3.0j)
