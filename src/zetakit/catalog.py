@@ -39,13 +39,14 @@ class ZeroSequence:
     The first ``n_exact`` elements come from refined numerics, the rest from
     the closed asymptotic formula.  ``g`` is the smooth continuation used by
     the Euler-Maclaurin tail, g(n) = a_n for n past the exact block: it maps
-    an array x to g(x).  ``dg`` maps one x to (g', g'', g''').
+    an array x to g(x).  The tail needs nothing else of the sequence: it
+    takes its end corrections from its own expansion of g^(-s).
 
     Each sequence memoizes what a direct sum needs that does not depend on
     s: the values and their logarithms (``log_table``), kept for every
     later call at the same or a smaller count, and, per tail start N, g on
     the one node array where the Euler-Maclaurin tail first evaluates its
-    integrand together with g, g', g'', g''' at N (``tail_table``).
+    integrand, which ends at N (``tail_table``).
     """
 
     alpha: float
@@ -53,7 +54,6 @@ class ZeroSequence:
     exact_fn: object
     asym_fn: object
     g: object
-    dg: object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _fill(self, count: int) -> dict:
@@ -90,11 +90,10 @@ class ZeroSequence:
     def tail_table(self, n_start: int) -> tuple:
         """What the Euler-Maclaurin tail from N = n_start reads of g, memoized per N.
 
-        (nodes, g(nodes), (g(N), g'(N), g''(N), g'''(N))): ``nodes`` is
-        ``tail_nodes(N)``, the array on which ``euler_maclaurin_tail`` first
-        evaluates its integrand, g(nodes) a read-only complex array and g(N)
-        a complex number.  The entry is rebuilt when ``tail_nodes`` hands
-        out a new array for N.
+        (nodes, g(nodes)): ``nodes`` is ``tail_nodes(N)``, the array on which
+        ``euler_maclaurin_tail`` first evaluates its integrand, whose last
+        entry is N, and g(nodes) a read-only complex array.  The entry is
+        rebuilt when ``tail_nodes`` hands out a new array for N.
         """
         nodes = tail_nodes(n_start)
         key = ("tail", n_start)
@@ -102,8 +101,7 @@ class ZeroSequence:
         if hit is None or hit[0] is not nodes:
             g_nodes = np.array(self.g(nodes), dtype=complex)
             g_nodes.flags.writeable = False
-            hit = self._cache[key] = (nodes, g_nodes,
-                                      (complex(self.g(n_start)), *self.dg(n_start)))
+            hit = self._cache[key] = (nodes, g_nodes)
         return hit
 
 
@@ -300,7 +298,7 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     a_g = a.real if a.imag == 0.0 else a      # a real g stays a float array
     zeros = ZeroSequence(
         alpha=1.0, n_exact=0, exact_fn=exact_fn, asym_fn=exact_fn,
-        g=lambda x: x - 1.0 + a_g, dg=lambda x: (1.0, 0.0, 0.0))
+        g=lambda x: x - 1.0 + a_g)
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )
@@ -364,14 +362,20 @@ def _airy_asym_parts(z):
 
 def _airy_parts(z):
     """(lg, f, f') for F(z) = Ai(-z): the Taylor series inside the switch
-    radius (6.5 for |arg z| <= 0.25, else 11), the expansion outside it."""
-    near = np.abs(z) <= np.where(np.abs(z.imag) <= math.tan(0.25) * z.real, 6.5, 11.0)
+    radius (6.5 for |arg z| <= 0.25, else 11), the expansion outside it.
+    DomainError outside |arg z| <= 1.7 or |z| <= 3: there the Taylor sum
+    cancels where Ai(-z) is recessive, and the expansion is wrong past
+    |arg z| = 1.9."""
+    r = np.abs(z)
+    if np.any((r > 3.0) & (z.real < math.cos(1.7) * r)):
+        raise DomainError("airy evaluator domain is |arg z| <= 1.7 or |z| <= 3")
+    near = r <= np.where(np.abs(z.imag) <= math.tan(0.25) * z.real, 6.5, 11.0)
     return _piecewise(z, ((near, partial(_taylor_parts, _AIRY_C, _AIRY_LOG_C)),
                           (~near, _airy_asym_parts)))
 
 
 def airy_eval(z):
-    """(F, F') for F(z) = Ai(-z); domain |arg z| <= 1.9 or |z| <= 11."""
+    """(F, F') for F(z) = Ai(-z); domain |arg z| <= 1.7 or |z| <= 3."""
     return _eval(_airy_parts, z)
 
 
@@ -403,22 +407,13 @@ def _airy_g(x):
     return u ** (2.0 / 3.0) + (5.0 / 48.0) * u ** (-4.0 / 3.0)
 
 
-def _airy_dg(x):
-    u = 3.0 * math.pi * (4.0 * x - 1.0) / 8.0
-    du = 1.5 * math.pi
-    g1 = (2.0 / 3.0) * u ** (-1.0 / 3.0) - (5.0 / 36.0) * u ** (-7.0 / 3.0)
-    g2 = -(2.0 / 9.0) * u ** (-4.0 / 3.0) + (35.0 / 108.0) * u ** (-10.0 / 3.0)
-    g3 = (8.0 / 27.0) * u ** (-7.0 / 3.0) - (350.0 / 324.0) * u ** (-13.0 / 3.0)
-    return g1 * du, g2 * du * du, g3 * du ** 3
-
-
 def airy_zeros(n_exact: int = 60) -> ZeroSequence:
     """Negated Airy zeros: the first ``n_exact`` Newton-refined, the rest by formula."""
     if n_exact < 0:
         raise DomainError("n_exact must be >= 0")
     return ZeroSequence(alpha=1.5, n_exact=n_exact,
                         exact_fn=_airy_zero_refine, asym_fn=airy_zero_seed,
-                        g=_airy_g, dg=_airy_dg)
+                        g=_airy_g)
 
 
 def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogModel:

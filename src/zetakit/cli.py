@@ -7,7 +7,9 @@ independent route and report the discrepancy.  The numeric options are
 declared only where they are read, so any other use is a usage error:
 --R, --tmax and --tol on values, series, contour and continue; --R (the
 radius of the residue check) on poles; --tol (the AAA tolerance) on aaa.
-An undeclared flag is reported with the usage line of its subcommand.
+An undeclared flag or a malformed number is reported with the usage line
+of its subcommand.  Direct sums take a_n^(-s) on the model's cut psi, the
+branch of the contour routes.
 """
 
 import argparse
@@ -42,14 +44,29 @@ def _cjson(x):
 
 
 def _cnum(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    """A complex number, i or j for the unit.  Like ``_param`` and
+    ``_parse_n_range`` an argparse type: a malformed value is a usage error."""
+    try:
+        return complex(text.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _parse_n_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _param(text: str):
+    """A model parameter: a float when real, else a complex number."""
+    try:
+        return float(text)
+    except ValueError:
+        return _cnum(text)
+
+
+def _parse_n_range(text: str) -> list:
+    lo, _, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer or a range lo..hi: {text!r}") from None
 
 
 def _build_model(args):
@@ -57,9 +74,9 @@ def _build_model(args):
     if spec.startswith("{"):
         return model_from_spec(spec)
     doc = {"model": spec}
-    for key, text in (("a", args.a), ("b", args.b)):
-        if text is not None:
-            doc[key] = complex(text) if "j" in str(text) else float(text)
+    for key, value in (("a", args.a), ("b", args.b)):
+        if value is not None:
+            doc[key] = value
     return model_from_spec(doc)
 
 
@@ -111,13 +128,12 @@ def _value_entry(model, report, logc, n: int, check: bool, kw: dict):
 
 def cmd_values(args) -> int:
     model = _build_model(args)
-    ns = _parse_n_range(args.n)
     kw = _ray_options(args)
     report = classify_poles(model.asym)
     logc = log_coeffs(model.series)
     entries = []
     failures = []
-    for n in ns:
+    for n in args.n:
         try:
             entries.append(_value_entry(model, report, logc, n, args.check, kw))
         except ZetakitError as exc:
@@ -202,7 +218,7 @@ def cmd_shift(args) -> int:
     if args.check and model.name not in ("riemann", "hurwitz"):
         raise ZetakitError(f"shift --check has an independent route only for the shifted "
                            f"integers (riemann, hurwitz), not {model.name!r}")
-    shift = ShiftParams(_cnum(args.A), _cnum(args.B))
+    shift = ShiftParams(args.A, args.B)
     ln_f_shift = None
     branch_note = None
     if model.name in ("riemann", "hurwitz"):
@@ -266,10 +282,10 @@ def _point_command(args, which: str) -> int:
     model = _build_model(args)
     if which == "series":
         _require_zeros(model, "direct summation")
-    s = _cnum(args.s)
+    s = args.s
     kw = _ray_options(args)
     if which == "series":
-        val = zeta_series(model.zeros, s, args.nterms)
+        val = zeta_series(model.zeros, s, args.nterms, psi=model.asym.psi)
     elif which == "contour":
         val = contour_zeta(model, s, **kw)
     else:
@@ -283,7 +299,7 @@ def _point_command(args, which: str) -> int:
         elif which == "contour":
             other = continued_zeta(model, s, **kw)
         else:
-            other = (zeta_series(model.zeros, s, 4000)
+            other = (zeta_series(model.zeros, s, 4000, psi=model.asym.psi)
                      if (model.zeros is not None and s.real > model.alpha + 0.25)
                      else contour_zeta(model, s, **kw)
                      if s.real > model.alpha else None)
@@ -299,7 +315,8 @@ def cmd_aaa(args) -> int:
     _require_zeros(model, "sampling")
     lo, hi = 2.0, 8.0
     pts = np.linspace(lo, hi, args.npoints)
-    samples = np.array([zeta_series(model.zeros, s, args.nterms) for s in pts])
+    samples = np.array([zeta_series(model.zeros, s, args.nterms, psi=model.asym.psi)
+                        for s in pts])
     fit = aaa_fit(pts, samples, rel_tol=(args.tol or 1e-13))
     zeros, poles = find_real_features(fit, (-3.0, 0.0))
     v1 = bary_eval(fit, 1.0)
@@ -351,8 +368,8 @@ def _add_common(p, *numeric, check=True, with_s=False):
     numeric flags (R, tmax, tol): a subcommand declares only what it reads."""
     p.add_argument("--model", required=True,
                    help="model name (%s) or a JSON spec" % "|".join(_MODELS))
-    p.add_argument("--a", default=None, help="model parameter a")
-    p.add_argument("--b", default=None, help="model parameter b")
+    p.add_argument("--a", type=_param, default=None, help="model parameter a")
+    p.add_argument("--b", type=_param, default=None, help="model parameter b")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     if check:
         p.add_argument("--check", action="store_true",
@@ -360,7 +377,7 @@ def _add_common(p, *numeric, check=True, with_s=False):
     for name in numeric:
         p.add_argument(f"--{name}", type=float, default=None, help=_NUMERIC_FLAGS[name])
     if with_s:
-        p.add_argument("--s", required=True, help="evaluation point (complex ok)")
+        p.add_argument("--s", type=_cnum, required=True, help="evaluation point (complex ok)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     every = tuple(_NUMERIC_FLAGS)
     p = sub.add_parser("values", help="special values at integers")
     _add_common(p, *every)
-    p.add_argument("--n", required=True, help="integer or range lo..hi")
+    p.add_argument("--n", type=_parse_n_range, required=True, help="integer or range lo..hi")
     p.set_defaults(fn=cmd_values, usage_error=p.error)
 
     p = sub.add_parser("poles", help="pole locations, orders, residues")
@@ -382,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", help="linear sequence transformation A*a_n + B")
     _add_common(p)
-    p.add_argument("--A", required=True, help="scale factor (complex ok)")
-    p.add_argument("--B", required=True, help="offset (complex ok)")
+    p.add_argument("--A", type=_cnum, required=True, help="scale factor (complex ok)")
+    p.add_argument("--B", type=_cnum, required=True, help="offset (complex ok)")
     p.set_defaults(fn=cmd_shift, usage_error=p.error)
 
     p = sub.add_parser("series", help="direct series summation")

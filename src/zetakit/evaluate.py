@@ -21,47 +21,19 @@ from .quadrature import euler_maclaurin_tail, quad_adaptive
 _DEFAULT_QUAD_TOL = 1e-11
 
 
-def _tail_derivs(zeros: ZeroSequence, s: complex, table: tuple):
-    """f, f', f''' for f(x) = g(x)^(-s) on the tail from N.
-
-    ``table`` is ``zeros.tail_table(N)``: g on the node array where the tail
-    first evaluates f, recognized by identity, and (g, g', g'', g''') at N,
-    where the tail evaluates f' and f'''.  Any other x is evaluated afresh.
-    """
-    nodes, g_nodes, at_n = table
-
-    def f(x):
-        return (g_nodes if x is nodes else np.asarray(zeros.g(x), dtype=complex)) ** (-s)
-
-    def point(x):
-        return at_n if x == nodes[-1] else (complex(zeros.g(x)), *zeros.dg(x))
-
-    def fp(x):
-        g0, g1, _, _ = point(x)
-        return -s * g0 ** (-s - 1.0) * g1
-
-    def fppp(x):
-        g0, g1, g2, g3 = point(x)
-        return (-s * (s + 1.0) * (s + 2.0) * g0 ** (-s - 3.0) * g1 ** 3
-                + 3.0 * s * (s + 1.0) * g0 ** (-s - 2.0) * g1 * g2
-                - s * g0 ** (-s - 1.0) * g3)
-
-    return f, fp, fppp
-
-
 def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> complex:
     """Direct summation of a_n^(-s) plus an Euler-Maclaurin tail estimate.
 
     The branch of the power is the cut-at-psi logarithm (default: principal).
     The head is one pairwise ``np.sum`` over the term array; the tail is
-    ``euler_maclaurin_tail`` with the decay exponent p = s/alpha.  Only the
-    s-dependent work runs per call: the log table of the a_n and
-    ``tail_table(N)`` are memoized on the sequence (see ``ZeroSequence``),
-    so the tail's one array evaluation of f is g^(-s) on the stored g of
-    its first nodes, and f' and f''' at N read the stored g, g', g'', g'''.
-    Requires n_terms >= 0, Re(s) > alpha + 0.25, and Re g(N) >= 1 at the
-    tail's start N = n_terms + 1 (read from the memo), so the tail estimate
-    is trustworthy; else it raises ``DomainError`` before summing.
+    ``euler_maclaurin_tail`` of f = g^(-s) with the decay exponent
+    p = s/alpha.  Only the s-dependent work runs per call: the log table of
+    the a_n and ``tail_table(N)`` are memoized on the sequence (see
+    ``ZeroSequence``), so f on the tail's node array, recognized by
+    identity, is a power of the stored g.  Requires n_terms >= 0,
+    Re(s) > alpha + 0.25, and Re g(N) >= 1 at the tail's start
+    N = n_terms + 1 (the last stored g), so the tail estimate is
+    trustworthy; else it raises ``DomainError`` before summing.
     """
     s = complex(s)
     if n_terms < 0:
@@ -71,14 +43,18 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
             f"Re s = {s.real} too close to the abscissa alpha = {zeros.alpha}; "
             "use the continued representation instead")
     n = n_terms + 1
-    table = zeros.tail_table(n)
-    g_start = table[2][0].real
+    nodes, g_nodes = zeros.tail_table(n)
+    g_start = g_nodes[-1].real
     if not g_start >= 1.0:
         raise DomainError(
             f"the Euler-Maclaurin tail from N = {n} starts at Re g(N) = {g_start:.6g} "
             "< 1; sum more terms directly (raise n_terms)")
+
+    def f(x):
+        return (g_nodes if x is nodes else np.asarray(zeros.g(x), dtype=complex)) ** (-s)
+
     head = complex(np.sum(np.exp(-s * zeros.log_table(n_terms, psi))))
-    tail = euler_maclaurin_tail(*_tail_derivs(zeros, s, table), n, s / zeros.alpha)
+    tail = euler_maclaurin_tail(f, n, s / zeros.alpha)
     return head + tail
 
 

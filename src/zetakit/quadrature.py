@@ -164,14 +164,20 @@ def gauss_jacobi(n: int, beta: float):
 @lru_cache(maxsize=None)
 def _legendre_rule(k: int):
     """k Gauss-Legendre nodes u on [0, 1], the same nodes as complex numbers,
-    and the matrix taking the values h(u) to the coefficients of h in the
-    basis P_j(2u - 1), j < k.  The matrix is complex, the type of every h it
-    multiplies, so no product casts it."""
+    and the (k + 3) x k matrix taking the values h(u) to the coefficients of
+    h in the basis P_j(2u - 1), j < k, followed by the first three
+    derivatives of that expansion at u = 1.  The matrix is complex, the type
+    of every h it multiplies, so no product casts it."""
     u, w = gauss_jacobi(k, 0.0)
     p = [np.ones(k), 2.0 * u - 1.0]
     for j in range(1, k - 1):
         p.append(((2 * j + 1) * p[1] * p[j] - j * p[j - 1]) / (j + 1))
-    rule = u, u.astype(complex), (2.0 * np.arange(k) + 1.0)[:, None] * np.array(p) * w + 0j
+    j = np.arange(k)
+    coef = (2.0 * j + 1.0)[:, None] * np.array(p) * w
+    # d^i/du^i P_j(2u - 1) at u = 1 is (j-i+1)...(j+i)/i!
+    ends = np.array([np.prod([j + m for m in range(1 - i, i + 1)], 0) / math.factorial(i)
+                     for i in (1, 2, 3)])
+    rule = u, u.astype(complex), np.vstack((coef, (ends[:, :, None] * coef).sum(1))) + 0j
     for v in rule[1:]:
         v.flags.writeable = False
     return rule
@@ -222,29 +228,9 @@ def _tail_moments(p: complex, k: int) -> np.ndarray:
     return np.multiply.accumulate(ratios)
 
 
-def euler_maclaurin_tail(f, fp, fppp, n_start: int, p) -> complex:
-    """Tail sum over integer arguments n >= n_start.
-
-    Evaluates integral + f(N)/2 - f'(N)/12 + f'''(N)/720, the
-    Euler-Maclaurin estimate through the second correction term.
-
-    ``p`` is the decay exponent: f(x) ~ x^-p with Re p > 1, and x^p f(x) is
-    analytic in 1/x on [N, infinity].  With x = N/u the integral is
-    int_0^1 u^gamma h(u) du, gamma = p - 2, h(u) = N f(N/u) u^-p smooth.
-    The Legendre coefficients of h from k Gauss nodes are integrated
-    against the exact moments m_j = int_0^1 u^gamma P_j(2u - 1) du
-    (product integration, exact for f = x^-p).  k doubles from 6 until the
-    k- and 2k-node values agree to 1e-14 max(1, |I|).  DivergenceError
-    when Re p <= 1, or when no pair up to 96 nodes agrees, which is what a
-    wrongly declared p causes.
-
-    f is called once on ``tail_nodes(n_start)``, which holds the nodes of
-    the 6- and 12-node rules and N, and once more for each later rule the
-    check needs; u^-p over those 18 nodes is taken once, and the moments
-    only as far as the rule reached.  fp and fppp are called at N only.
-    Each rule's value has the bits it has when that rule is evaluated on
-    its own.
-    """
+def _tail_integral(f, n_start: int, p):
+    """The integral of ``euler_maclaurin_tail`` with what its end corrections
+    read: (integral, f(N), h'(1), h''(1) and h'''(1) on the rule that agreed)."""
     p = complex(p)
     if p.real <= 1.0:
         raise DivergenceError(f"tail decay x^-({p}) is not integrable")
@@ -262,12 +248,54 @@ def euler_maclaurin_tail(f, fp, fppp, n_start: int, p) -> complex:
                 h = n * np.asarray(f(n / u), dtype=complex) * u_complex ** -p
                 moments = _tail_moments(p, k)
             # the ufunc's own reduce, not the sum method's Python wrapper; no BLAS
-            integral = complex(np.add.reduce(moments[:k] * np.add.reduce(coef * h, 1)))
+            c = np.add.reduce(coef * h, 1)
+            integral = complex(np.add.reduce(moments[:k] * c[:k]))
             if not cmath.isfinite(integral):
                 raise DivergenceError(f"non-finite tail integrand from {n_start}")
             if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
-                f_n = complex(fx[-1])
-                return integral + f_n / 2.0 - complex(fp(n)) / 12.0 + complex(fppp(n)) / 720.0
+                return integral, complex(fx[-1]), c[k:]
             prev = integral
     raise DivergenceError(
         f"tail integral from {n_start} did not converge at 96 nodes; is p = {p} right?")
+
+
+def _end_derivatives(slopes, f_n: complex, n_start: int, p) -> tuple:
+    """f'(N) and f'''(N) from f(N) and h', h'', h''' at u = 1, h(u) = N f(N/u) u^-p.
+
+    H(u) = u^p h(u) = N f(N/u) gives f'(N) = -H'(1)/N^2 and
+    f'''(N) = -(H''' + 6H'' + 6H')(1)/N^4
+            = -(p(p+1)(p+2) h + 3(p+1)(p+2) h' + 3(p+2) h'' + h''')(1)/N^4.
+    """
+    p, n = complex(p), float(n_start)
+    h0, (h1, h2, h3) = n * f_n, slopes.tolist()
+    q, r = p + 2.0, (p + 1.0) * (p + 2.0)
+    return -(p * h0 + h1) / n ** 2, -(p * r * h0 + 3.0 * (r * h1 + q * h2) + h3) / n ** 4
+
+
+def euler_maclaurin_tail(f, n_start: int, p) -> complex:
+    """Tail sum over integer arguments n >= n_start.
+
+    Evaluates integral + f(N)/2 - f'(N)/12 + f'''(N)/720, the
+    Euler-Maclaurin estimate through the second correction term.
+
+    ``p`` is the decay exponent: f(x) ~ x^-p with Re p > 1, and x^p f(x) is
+    analytic in 1/x on [N, infinity].  With x = N/u the integral is
+    int_0^1 u^gamma h(u) du, gamma = p - 2, h(u) = N f(N/u) u^-p smooth.
+    The Legendre coefficients of h from k Gauss nodes are integrated
+    against the exact moments m_j = int_0^1 u^gamma P_j(2u - 1) du
+    (product integration, exact for f = x^-p).  k doubles from 6 until the
+    k- and 2k-node values agree to 1e-14 max(1, |I|).  DivergenceError
+    when Re p <= 1, or when no pair up to 96 nodes agrees, which is what a
+    wrongly declared p causes.  f'(N) and f'''(N) come from the same
+    product on the rule that agreed (``_legendre_rule``), so f is all the
+    tail needs.
+
+    f is called once on ``tail_nodes(n_start)``, which holds the nodes of
+    the 6- and 12-node rules and N, and once more for each later rule the
+    check needs; u^-p over those 18 nodes is taken once, and the moments
+    only as far as the rule reached.  Each rule's value has the bits it
+    has when that rule is evaluated on its own.
+    """
+    integral, f_n, slopes = _tail_integral(f, n_start, p)
+    f1, f3 = _end_derivatives(slopes, f_n, n_start, p)
+    return integral + f_n / 2.0 - f1 / 12.0 + f3 / 720.0

@@ -155,18 +155,31 @@ class TestAiryModel:
         assert abs(fp - airy.series.coeffs[1]) < 1e-12
 
     def test_eval_against_oracle(self, airy):
+        # the domain |arg z| <= 1.7 or |z| <= 3, drawn from both parts
         rng = np.random.default_rng(67)
         worst = 0.0
-        for _ in range(40):
-            r = rng.uniform(0.2, 30.0)
-            th = rng.uniform(-1.8, 1.8)
-            z = r * cmath.exp(1j * th)
+        for i in range(40):
+            if i % 4:
+                z = rng.uniform(0.2, 30.0) * cmath.exp(1j * rng.uniform(-1.7, 1.7))
+            else:
+                z = rng.uniform(0.2, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             f, fp = airy.eval(z)
             ref = complex(mp.airyai(mp.mpc(-z)))
             refp = complex(-mp.airyai(mp.mpc(-z), 1))
             worst = max(worst, abs(f - ref) / max(abs(ref), 1e-8),
                         abs(fp - refp) / max(abs(refp), 1e-8))
         assert worst < 5e-9
+
+    @pytest.mark.parametrize("r", [3.01, 10.9, 11.05, 40.0])
+    @pytest.mark.parametrize("arg", [1.72, 1.9, 2.6, -2.2, math.pi])
+    def test_outside_the_domain_raises(self, airy, r, arg):
+        # these points were wrong with no error before: a relative error of
+        # 2.0 at |z| >= 11 for |arg z| >= 2.2, 2.7 at |z| = 10.9, arg 2.6
+        z = r * cmath.exp(1j * arg)
+        with pytest.raises(DomainError):
+            airy.eval(z)
+        with pytest.raises(DomainError):
+            airy.log_deriv(np.array([1.0, z]))
 
     def test_seam_cross_agreement(self, airy):
         from zetakit.catalog import (_AIRY_C, _AIRY_LOG_C, _airy_asym_parts,

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from zetakit.cli import main
+from zetakit import cli
+from zetakit.catalog import RIEMANN_PSI
+from zetakit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -266,6 +268,34 @@ class TestPointCommands:
         assert code == 0
         assert doc["check_discrepancy"] < 1e-10
 
+    @pytest.mark.parametrize("cmd", ["series", "continue"])
+    def test_check_on_the_cut_of_the_contour_routes(self, capsys, cmd):
+        # hurwitz(-1.3) has negative elements; the direct sum takes their
+        # powers on the model's cut, as contour and continue do
+        code, doc, _ = run_json(capsys, cmd, "--model", "hurwitz", "--a", "-1.3",
+                                "--s", "2.5", "--check")
+        assert code == 0
+        assert doc["check_discrepancy"] < 1e-9
+        assert doc["value"]["im"] == pytest.approx(20.80499, abs=1e-5)
+
+    def test_every_direct_sum_takes_the_model_cut(self, capsys, monkeypatch):
+        seen = []
+        real = cli.zeta_series
+
+        def spy(zeros, s, n_terms, psi=math.pi):
+            seen.append(psi)
+            return real(zeros, s, n_terms, psi)
+
+        monkeypatch.setattr(cli, "zeta_series", spy)
+        hurwitz = ("--model", "hurwitz", "--a", "-1.3")
+        for argv in (("series", *hurwitz, "--s", "2.5"),
+                     ("continue", *hurwitz, "--s", "2.5", "--check"),
+                     ("aaa", *hurwitz, "--npoints", "20", "--nterms", "200")):
+            before = len(seen)
+            assert run(capsys, *argv)[0] == 0
+            assert len(seen) > before, argv
+        assert set(seen) == {RIEMANN_PSI}
+
     def test_tolerance_override(self, capsys):
         code, doc, _ = run_json(capsys, "continue", "--model", "airy", "--s", "0",
                                 "--tol", "1e-6")
@@ -330,6 +360,39 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage: zetakit aaa ") and "--npoints NPOINTS" in err
         assert "unrecognized arguments: --check --R 5" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ("values", "--model", "riemann", "--n", "1..x"),
+        ("values", "--model", "riemann", "--n", "1..2..3"),
+        ("series", "--model", "riemann", "--s", "1x"),
+        ("contour", "--model", "hurwitz", "--a", "0.4+0.7x", "--s", "2"),
+        ("continue", "--model", "chf", "--a", "0.5", "--b", "1..5", "--s", "2"),
+        ("shift", "--model", "riemann", "--A", "2", "--B", "half")])
+    def test_malformed_number_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: zetakit {argv[0]} ") and "Traceback" not in err
+        assert f"zetakit {argv[0]}: error: argument --" in err
+
+    def test_number_types(self):
+        def parse(*argv):
+            return build_parser().parse_args(list(argv))
+        args = parse("values", "--model", "hurwitz", "--a", "0.4+0.7i", "--n=-2..1")
+        assert args.a == 0.4 + 0.7j and args.n == [-2, -1, 0, 1]
+        args = parse("values", "--model", "pcf", "--a", "1", "--n", "3")
+        assert type(args.a) is float and args.n == [3]
+        args = parse("shift", "--model", "riemann", "--A", "1+2i", "--B", "-0.5")
+        assert (args.A, args.B) == (1 + 2j, -0.5)
+        assert parse("series", "--model", "airy", "--s", "2 - 1i").s == 2 - 1j
+
+    def test_complex_parameter_with_i(self, capsys):
+        code, doc, err = run_json(capsys, "values", "--model", "hurwitz",
+                                  "--a", "0.4+0.7i", "--n", "0")
+        assert code == 0 and err == ""
+        assert doc["results"][0]["value"] == {"re": pytest.approx(0.1), "im": pytest.approx(-0.7)}
 
 
 class TestCatalog:

@@ -1,22 +1,21 @@
 import heapq
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetakit import (AccuracyError, DivergenceError, airy_zeros, continued_zeta,
-                     euler_maclaurin_tail, hurwitz_model, quad_adaptive, riemann_model,
-                     zeta_series)
+from zetakit import (AccuracyError, DivergenceError, DomainError, ZeroSequence, airy_zeros,
+                     continued_zeta, euler_maclaurin_tail, hurwitz_model, quad_adaptive,
+                     riemann_model, zeta_series)
 from zetakit import evaluate
-from zetakit.quadrature import _WG, _WK, _XK, gauss_jacobi
+from zetakit.quadrature import (_WG, _WK, _XK, _end_derivatives, _legendre_rule,
+                                _tail_integral, gauss_jacobi)
 
 
 def _power_tail(s):
-    f = lambda t: np.asarray(t, dtype=float) ** -s
-    fp = lambda t: -s * t ** (-s - 1.0)
-    fppp = lambda t: -s * (s + 1.0) * (s + 2.0) * t ** (-s - 3.0)
-    return f, fp, fppp
+    return lambda t: np.asarray(t, dtype=float) ** -s
 
 
 class TestQuadAdaptive:
@@ -186,41 +185,36 @@ class TestBatchedRounds:
 class TestEulerMaclaurinTail:
     def test_inverse_square_oracle(self):
         # tail from 101: zeta(2) - H_100, direct-summation oracle
-        f, fp, fppp = _power_tail(2.0)
         h100 = math.fsum(1.0 / k ** 2 for k in range(1, 101))
         ref = math.pi ** 2 / 6.0 - h100
-        assert abs(euler_maclaurin_tail(f, fp, fppp, 101, 2.0) - ref) <= 1e-12
+        assert abs(euler_maclaurin_tail(_power_tail(2.0), 101, 2.0) - ref) <= 1e-12
 
     def test_inverse_square_inclusive_convention(self):
         # the estimate sums n >= N: tail(100) - tail(101) = f(100)
-        f, fp, fppp = _power_tail(2.0)
-        t100 = euler_maclaurin_tail(f, fp, fppp, 100, 2.0)
-        t101 = euler_maclaurin_tail(f, fp, fppp, 101, 2.0)
+        t100 = euler_maclaurin_tail(_power_tail(2.0), 100, 2.0)
+        t101 = euler_maclaurin_tail(_power_tail(2.0), 101, 2.0)
         assert abs((t100 - t101) - 100.0 ** -2) < 1e-14
 
     def test_zero_function(self):
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        assert euler_maclaurin_tail(zero, lambda t: 0.0, lambda t: 0.0, 10, 2.0) == 0.0
+        assert euler_maclaurin_tail(zero, 10, 2.0) == 0.0
 
     def test_inverse_fourth_oracle(self):
-        f, fp, fppp = _power_tail(4.0)
         h49 = math.fsum(1.0 / k ** 4 for k in range(1, 50))
         ref = math.pi ** 4 / 90.0 - h49
-        assert abs(euler_maclaurin_tail(f, fp, fppp, 50, 4.0) - ref) <= 1e-13
+        assert abs(euler_maclaurin_tail(_power_tail(4.0), 50, 4.0) - ref) <= 1e-13
 
     def test_divergent_tail_detected(self):
         f = lambda t: 1.0 / np.asarray(t, dtype=float)
         with pytest.raises(DivergenceError):
-            euler_maclaurin_tail(f, lambda t: -t ** -2.0, lambda t: -6.0 * t ** -4.0, 5, 1.0)
+            euler_maclaurin_tail(f, 5, 1.0)
 
 
 N_STARTS = (2, 5, 11, 101, 2001, 10001)
 
 
 def _integral(f, n, p):
-    # with f' = f''' = 0 the estimate is the integral plus f(N)/2
-    zero = lambda t: 0.0
-    return euler_maclaurin_tail(f, zero, zero, n, p) - complex(f(np.array([float(n)]))[0]) / 2.0
+    return _tail_integral(f, n, p)[0]
 
 
 def _power(g, s):
@@ -251,26 +245,25 @@ class TestPowerTailRule:
 
     @pytest.mark.parametrize("p", [1.0, 0.5, 1.0 + 2.0j, -3.0])
     def test_non_integrable_decay_rejected(self, p):
-        f, fp, fppp = _power_tail(2.0)
         with pytest.raises(DivergenceError):
-            euler_maclaurin_tail(f, fp, fppp, 10, p)
+            euler_maclaurin_tail(_power_tail(2.0), 10, p)
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 2.001, 2.0 + 0.5j])
     def test_wrong_exponent_trips_the_check(self, p):
         # f decays like x^-2: any p but 2 + (integer >= 0) leaves
         # h(u) = N f(N/u) u^-p non-smooth at u = 0, and the rules disagree
-        f, fp, fppp = _power_tail(2.0)
         for n in N_STARTS:
-            rec = _Recorder(f)
+            rec = _Recorder(_power_tail(2.0))
             with pytest.raises(DivergenceError):
-                euler_maclaurin_tail(rec, fp, fppp, n, p)
+                euler_maclaurin_tail(rec, n, p)
             # one array for the 6- and 12-node rules and N, then one per rule
             assert rec.sizes == [19, 24, 48, 96], n
 
 
-def _per_level_tail(f, fp, fppp, n_start, p):
+def _per_level_tail(f, n_start, p):
     """Reference: the tail rule with each Legendre rule evaluated on its own,
-    f called per rule and at N, every moment built up front.  Returns the
+    f called per rule and at N, every moment built up front, and the end
+    corrections from the same rows and helper as the tail's.  Returns the
     estimate and the node count it stopped at."""
     p = complex(p)
     n = float(n_start)
@@ -290,28 +283,16 @@ def _per_level_tail(f, fp, fppp, n_start, p):
         assert np.isfinite(integral)
         if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
             f_n = complex(f(np.array([n]))[0])
-            value = integral + f_n / 2.0 - complex(fp(n)) / 12.0 + complex(fppp(n)) / 720.0
-            return value, k
+            slopes = (_legendre_rule(k)[2][k:] * h).sum(1)
+            f1, f3 = _end_derivatives(slopes, f_n, n_start, p)
+            return integral + f_n / 2.0 - f1 / 12.0 + f3 / 720.0, k
         prev = integral
     raise AssertionError("no two rules agree")
 
 
 def _sequence_tail(zeros, s):
-    """f = g^-s, f' and f''' from the sequence's g and dg, nothing memoized."""
-    def f(x):
-        return np.asarray(zeros.g(x), dtype=complex) ** -s
-
-    def fp(x):
-        g0, (g1, _, _) = complex(zeros.g(x)), zeros.dg(x)
-        return -s * g0 ** (-s - 1.0) * g1
-
-    def fppp(x):
-        g0, (g1, g2, g3) = complex(zeros.g(x)), zeros.dg(x)
-        return (-s * (s + 1.0) * (s + 2.0) * g0 ** (-s - 3.0) * g1 ** 3
-                + 3.0 * s * (s + 1.0) * g0 ** (-s - 2.0) * g1 * g2
-                - s * g0 ** (-s - 1.0) * g3)
-
-    return f, fp, fppp
+    """f = g^-s, nothing memoized."""
+    return lambda x: np.asarray(zeros.g(x), dtype=complex) ** -s
 
 
 TAIL_SEQUENCES = {
@@ -332,18 +313,60 @@ class TestSameBitsAsPerLevel:
         zeros = TAIL_SEQUENCES[name]()
         for s in (2.0 + 0j, 3.7 + 0j, 8.0 + 0j, 3.0 + 1.5j):
             p = s / zeros.alpha
-            want, _ = _per_level_tail(*_sequence_tail(zeros, s), n, p)
-            assert euler_maclaurin_tail(*_sequence_tail(zeros, s), n, p) == want, s
+            want, _ = _per_level_tail(_sequence_tail(zeros, s), n, p)
+            assert euler_maclaurin_tail(_sequence_tail(zeros, s), n, p) == want, s
             # the memoized integrand of zeta_series, and the sample it ends in
-            table = zeros.tail_table(n)
-            assert euler_maclaurin_tail(*evaluate._tail_derivs(zeros, s, table), n, p) == want
             head = complex(np.sum(np.exp(-s * zeros.log_table(n - 1))))
             assert zeta_series(zeros, s, n - 1) == head + want, s
 
     def test_one_call_of_f_when_twelve_nodes_agree(self):
-        zeros = TAIL_SEQUENCES["airy"]()
-        f, fp, fppp = _sequence_tail(zeros, 3.0 + 0j)
-        assert _per_level_tail(f, fp, fppp, 6001, 2.0)[1] == 12
+        f = _sequence_tail(TAIL_SEQUENCES["airy"](), 3.0 + 0j)
+        assert _per_level_tail(f, 6001, 2.0)[1] == 12
         rec = _Recorder(f)
-        euler_maclaurin_tail(rec, fp, fppp, 6001, 2.0)
+        euler_maclaurin_tail(rec, 6001, 2.0)
         assert rec.sizes == [19]
+
+
+def _squares(a):
+    """a_n = (n - 1 + a)^2, given by g alone: zeta(s) is zeta_H(2s, a)."""
+    g = lambda x: (np.asarray(x) - 1.0 + a) ** 2
+    term = lambda n: (n - 1 + a) ** 2
+    return ZeroSequence(alpha=0.5, n_exact=0, exact_fn=term, asym_fn=term, g=g)
+
+
+class TestEndCorrections:
+    """f'(N) and f'''(N) come from the tail's own Legendre expansion of f."""
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 0.5 + 0.5j])
+    @pytest.mark.parametrize("s", [1.2, 2.0, 1.5 + 1j])
+    def test_sequence_given_by_g_alone(self, a, s):
+        zeros = _squares(a)
+        ref = complex(mp.zeta(2 * mp.mpmathify(s), mp.mpmathify(a)))
+        for n_terms in (100, 101, 1000, 4000):
+            assert abs(zeta_series(zeros, s, n_terms) - ref) <= 1e-14 * abs(ref), n_terms
+
+    @pytest.mark.parametrize("a", [1.0, 0.3, -1.3])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.7, 8.0, 3.0 + 1.5j, 1.3 - 0.7j])
+    def test_small_starts_close_to_exact_derivatives(self, a, s):
+        # riemann, hurwitz(0.3) and hurwitz(-1.3) from every start the guard
+        # accepts: the change from exact f', f''' is far inside the truncation error
+        zeros = hurwitz_model(a).zeros
+        s = complex(s)
+        checked = 0
+        for n_terms in range(6):
+            try:
+                got = zeta_series(zeros, s, n_terms)
+            except DomainError:
+                continue
+            n = n_terms + 1
+            g_n = n - 1.0 + a
+            f = lambda x: (np.asarray(x) - 1.0 + a + 0j) ** -s
+            exact = (got - euler_maclaurin_tail(f, n, s) + _tail_integral(f, n, s)[0]
+                     + g_n ** -s / 2.0 + s * g_n ** (-s - 1.0) / 12.0
+                     - s * (s + 1.0) * (s + 2.0) * g_n ** (-s - 3.0) / 720.0)
+            with mp.workdps(30):
+                ref = complex(mp.fsum(mp.power(a + k, -s) for k in range(n_terms))
+                              + mp.zeta(s, g_n))
+            assert abs(got - exact) <= 1e-3 * abs(exact - ref), n_terms
+            checked += 1
+        assert checked >= 3
