@@ -36,11 +36,9 @@ AIRY_PSI = 1.6  # second-quadrant ray, inside the sector where the
 class ZeroSequence:
     """Deterministic generator of the first n sequence elements.
 
-    The first ``n_exact`` elements come from refined numerics, the rest from
-    the closed asymptotic formula.  ``g`` is the smooth continuation used by
-    the Euler-Maclaurin tail, g(n) = a_n for n past the exact block: it maps
-    an array x to g(x).  The tail needs nothing else of the sequence: it
-    takes its end corrections from its own expansion of g^(-s).
+    ``g`` maps an array x to g(x), with a_n = g(n) past the first ``n_exact``
+    elements; the Euler-Maclaurin tail needs nothing else of the sequence.
+    ``head(count)`` returns the first count <= n_exact elements as an array.
 
     Each sequence memoizes what a direct sum needs that does not depend on
     s: the values and their logarithms (``log_table``), kept for every
@@ -50,11 +48,14 @@ class ZeroSequence:
     """
 
     alpha: float
-    n_exact: int
-    exact_fn: object
-    asym_fn: object
     g: object
+    n_exact: int = 0
+    head: object = None
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.n_exact < 0 or (self.n_exact and self.head is None):
+            raise DomainError("n_exact must be >= 0, and > 0 only with a head")
 
     def _fill(self, count: int) -> dict:
         """The memo holding at least the first count values."""
@@ -63,9 +64,8 @@ class ZeroSequence:
         memo = self._cache.get("fill")
         if memo is None or len(memo["vals"]) < count:
             n_ex = min(count, self.n_exact)
-            exact = [self.exact_fn(n) for n in range(1, n_ex + 1)]
-            rest = [self.asym_fn(n) for n in range(n_ex + 1, count + 1)]
-            vals = np.asarray(exact + rest, dtype=complex)
+            head = self.head(n_ex) if n_ex else ()
+            vals = np.concatenate((head, self.g(np.arange(n_ex + 1, count + 1))), dtype=complex)
             vals.flags.writeable = False    # the log tables are built from it
             memo = self._cache["fill"] = {"vals": vals}
         return memo
@@ -291,14 +291,9 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     def eval_fn(z):
         return _recip_gamma_pair(a, z)
 
-    def exact_fn(n):
-        return a + (n - 1)
-
     moduli = sorted(abs(a + k) for k in range(0, 64))
     a_g = a.real if a.imag == 0.0 else a      # a real g stays a float array
-    zeros = ZeroSequence(
-        alpha=1.0, n_exact=0, exact_fn=exact_fn, asym_fn=exact_fn,
-        g=lambda x: x - 1.0 + a_g)
+    zeros = ZeroSequence(alpha=1.0, g=lambda x: x - 1.0 + a_g)
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )
@@ -382,38 +377,36 @@ def airy_eval(z):
 airy_log_deriv = partial(_log_deriv, _airy_parts)
 
 
-def airy_zero_seed(n: int) -> float:
-    """Asymptotic n-th zero of Ai(-x), inverse expansion with one correction."""
-    t = 3.0 * math.pi * (4 * n - 1) / 8.0
+def airy_zero_seed(x):
+    """The zeros of Ai(-z) by DLMF 9.9.18 to its first correction: t^(2/3)
+    (1 + 5/(48 t^2)), t = 3 pi (4x - 1)/8, at an integer x (Newton's seed)
+    or on an array (the elements past the head, and the tail's g)."""
+    t = 3.0 * math.pi * (4 * x - 1) / 8.0
     return t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
 
 
-def _airy_zero_refine(n: int) -> float:
-    x = airy_zero_seed(n)
-    for _ in range(50):
-        f, fp = airy_eval(x)
-        step = (f / fp).real
-        x -= step
-        if abs(step) < 1e-14 * max(1.0, abs(x)):
+def _airy_head(count: int) -> np.ndarray:
+    """The first count zeros of Ai(-x), each by Newton from its seed."""
+    zeros = np.empty(count)
+    for n in range(1, count + 1):
+        x = airy_zero_seed(n)
+        for _ in range(50):
             f, fp = airy_eval(x)
-            if abs(f) <= 1e-12 * max(1.0, abs(fp)):
-                return x
-    raise RefinementError(f"Newton refinement stalled for Airy zero #{n}")
-
-
-def _airy_g(x):
-    """airy_zero_seed continued to real x: u^(2/3) + (5/48) u^(-4/3)."""
-    u = 3.0 * math.pi * (4.0 * x - 1.0) / 8.0
-    return u ** (2.0 / 3.0) + (5.0 / 48.0) * u ** (-4.0 / 3.0)
+            step = (f / fp).real
+            x -= step
+            if abs(step) < 1e-14 * max(1.0, abs(x)):
+                f, fp = airy_eval(x)
+                if abs(f) <= 1e-12 * max(1.0, abs(fp)):
+                    break
+        else:
+            raise RefinementError(f"Newton refinement stalled for Airy zero #{n}")
+        zeros[n - 1] = x
+    return zeros
 
 
 def airy_zeros(n_exact: int = 60) -> ZeroSequence:
     """Negated Airy zeros: the first ``n_exact`` Newton-refined, the rest by formula."""
-    if n_exact < 0:
-        raise DomainError("n_exact must be >= 0")
-    return ZeroSequence(alpha=1.5, n_exact=n_exact,
-                        exact_fn=_airy_zero_refine, asym_fn=airy_zero_seed,
-                        g=_airy_g)
+    return ZeroSequence(1.5, airy_zero_seed, n_exact, _airy_head)
 
 
 def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogModel:

@@ -244,7 +244,7 @@ def cmd_shift(args) -> int:
            "A": _cjson(shift.A), "B": _cjson(shift.B),
            "poles": entries,
            "zeta0": _cjson(rep.report.zeta0),
-           "zeta_prime0": None if ln_f_shift is None else _cjson(rep.report.zeta_prime0),
+           "zeta_prime0": _cjson(rep.report.zeta_prime0),
            "values": {str(n): _cjson(v) for n, v in sorted(rep.values.items())},
            "flags": list(rep.flags) + ([branch_note] if branch_note else [])}
     if args.check:
@@ -255,7 +255,7 @@ def cmd_shift(args) -> int:
                      f"residue {_fmt(p.residue)}")
     if rep.report.zeta0 is not None:
         lines.append(f"zeta(0) = {_fmt(rep.report.zeta0)}")
-    if rep.report.zeta_prime0 is not None and ln_f_shift is not None:
+    if rep.report.zeta_prime0 is not None:
         lines.append(f"zeta'(0) = {_fmt(rep.report.zeta_prime0)}")
     for n, v in sorted(rep.values.items()):
         lines.append(f"zeta({n}) = {_fmt(v)}")

@@ -8,12 +8,12 @@ integer special values.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .asym import (_ZERO_THRESHOLD, AsymExpansion, PoleInfo, PoleReport,
-                   classify_poles, zeta_int_leq_alpha)
+                   classify_poles, residue_at, zeta_int_leq_alpha)
 from .errors import DomainError
 from .series import series_mul
 
@@ -96,15 +96,17 @@ class ShiftedReport:
 
 def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
                    ln_f_shifted: complex | None = None) -> ShiftedReport:
-    """Pole structure and special values of zeta_{S_{A,B}}.
+    """Pole structure and special values of zeta_{S_{A,B}} = A^(-s) zeta_Omega.
 
-    Residues pick up the factor A^(j/m - alpha); zeta(0) is read from the
-    transformed table; zeta'(0) = zeta_Omega'(0) - ln A zeta_Omega(0); integer
-    values n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive
-    n <= alpha would need the Taylor side of F(z - B/A), which is not kept).
+    Residues are A^(-x) times those of the table of ln F(z/A), whose zeros
+    are A a_n; at a simple pole that is A^(-x) times Omega's.  zeta(0) is
+    read from the transformed table; zeta'(0) = zeta_Omega'(0) - ln A
+    zeta_Omega(0), None for B != 0 without ``ln_f_shifted``; integer values
+    n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive n <= alpha
+    would need the Taylor side of F(z - B/A), which is not kept).
     ``flags`` notes each Omega entry of modulus in (1e-14, 1e-10), where
     digits may have cancelled; smaller entries are exact zeros to every
-    table reader and are not flagged.
+    table reader.
     """
     om = omega_table(asym, shift, ln_f_shifted=ln_f_shifted)
     base = classify_poles(om)
@@ -112,14 +114,17 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     ln_a = cmath.log(A)
     poles = []
     flags = []
-    for p in base.poles:
-        poles.append(PoleInfo(p.location, p.order,
-                              A ** complex(-p.location) * p.residue))
+    for p in base.poles:    # A^x times row j of ln F(z/A): ln(z/A) = ln z - ln A
+        j = om.j_for_location(p.location)
+        row = {(j, l): sum(math.comb(k, l) * (-ln_a) ** (k - l) * om.entry(j, k)
+                           for k in range(l, om.M + 1)) for l in range(om.M + 1)}
+        res = residue_at(replace(om, d=row), j)
+        poles.append(PoleInfo(p.location, p.order, A ** complex(-p.location) * res))
     for (j, k), v in om.d.items():
         if _ZERO_THRESHOLD < abs(v) < _CANCEL_FLAG:
             flags.append(f"possible cancellation in Omega[{j},{k}] = {abs(v):.2e}")
     zeta_prime0 = None
-    if base.zeta_prime0 is not None:
+    if base.zeta_prime0 is not None and (ln_f_shifted is not None or shift.B == 0):
         zeta_prime0 = base.zeta_prime0 - base.zeta0 * ln_a
     report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole,
                         zeta_prime0, base.notes)

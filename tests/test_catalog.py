@@ -9,7 +9,7 @@ import zetakit
 from zetakit import (DomainError, EULER_GAMMA, airy_model, airy_zeros, chf_model,
                      hurwitz_model, log_coeffs, model_from_spec, pcf_model,
                      riemann_model, zeta_int_leq_alpha, zeta_pos_int)
-from zetakit.catalog import airy_eval, airy_zero_seed
+from zetakit.catalog import ZeroSequence, _airy_head, airy_eval, airy_zero_seed
 from zetakit.shift import ShiftParams, omega_table
 
 from conftest import ln_f_on_ray, rel_err
@@ -271,6 +271,56 @@ class TestAiryZeros:
         with pytest.raises(DomainError):
             airy_zeros(-1)
         assert airy_zeros(0).values(3)[0] == airy_zero_seed(1)
+
+
+    @pytest.mark.parametrize("n_exact", [0, 5, 60])
+    def test_values_are_the_head_then_the_formula(self, n_exact):
+        m = 500
+        want = np.r_[_airy_head(n_exact), airy_zero_seed(np.arange(n_exact + 1, m + 1))]
+        assert np.array_equal(airy_zeros(n_exact).values(m), want)
+
+    def test_seed_takes_scalars_and_arrays(self):
+        x = np.array([1.0, 7.5, 1e4])
+        assert np.allclose(airy_zero_seed(x), [airy_zero_seed(v) for v in x],
+                           rtol=1e-15, atol=0.0)
+
+
+class TestZeroSequence:
+    def test_g_alone_one_call_per_fill(self):
+        calls = []
+
+        def g(x):
+            calls.append(np.array(x))
+            return (x - 0.5) ** 2
+
+        seq = ZeroSequence(0.5, g)
+        assert np.array_equal(seq.values(10), g(np.arange(1, 11)))
+        calls.clear()
+        seq.values(10)
+        seq.values(4)
+        seq.log_table(7)
+        assert calls == []
+        vals = seq.values(25)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(1, 26))
+        assert np.array_equal(vals, (np.arange(1, 26) - 0.5) ** 2)
+
+    def test_head_called_once_per_fill_for_its_prefix(self):
+        heads = []
+
+        def head(count):
+            heads.append(count)
+            return -np.arange(1.0, count + 1)
+
+        seq = ZeroSequence(1.0, lambda x: x + 0.0, n_exact=3, head=head)
+        assert list(seq.values(2)) == [-1, -2]
+        assert list(seq.values(6)) == [-1, -2, -3, 4, 5, 6]
+        assert heads == [2, 3]
+
+    def test_n_exact_needs_a_head(self):
+        with pytest.raises(DomainError):
+            ZeroSequence(1.0, lambda x: x, n_exact=3)
+        with pytest.raises(DomainError):
+            ZeroSequence(1.0, lambda x: x, n_exact=-1, head=lambda c: c)
 
 
 class TestPcfModel:

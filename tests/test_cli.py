@@ -195,6 +195,18 @@ class TestShift:
         assert code == 0
         assert "zeta(-6) = 0\n" in out and "note:" not in out
 
+    @pytest.mark.parametrize("A, B", [("4", "-2"), ("10", "-5"), ("0.1", "-0.05")])
+    def test_scaled_trivial_zeros_exact_without_notes(self, capsys, A, B):
+        # A n + B = A (n - 1/2): the scale stays out of the table, so the
+        # 1e-14 threshold still sees the trivial zeros as exact
+        code, doc, _ = run_json(capsys, "shift", "--model", "riemann", "--A", A, "--B", B)
+        assert code == 0 and doc["flags"] == []
+        for n in ("-2", "-4", "-6"):
+            assert doc["values"][n] == {"re": 0.0, "im": 0.0}
+        code, out, _ = run(capsys, "shift", "--model", "riemann", "--A", A, "--B", B)
+        assert code == 0
+        assert "zeta(-6) = 0\n" in out and "note:" not in out
+
     @pytest.mark.parametrize("model", [("airy",), ("pcf", "--a", "1")])
     def test_check_without_route_fails_cleanly(self, capsys, model):
         code, out, err = run(capsys, "shift", "--model", *model,

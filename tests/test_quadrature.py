@@ -329,9 +329,7 @@ class TestSameBitsAsPerLevel:
 
 def _squares(a):
     """a_n = (n - 1 + a)^2, given by g alone: zeta(s) is zeta_H(2s, a)."""
-    g = lambda x: (np.asarray(x) - 1.0 + a) ** 2
-    term = lambda n: (n - 1 + a) ** 2
-    return ZeroSequence(alpha=0.5, n_exact=0, exact_fn=term, asym_fn=term, g=g)
+    return ZeroSequence(alpha=0.5, g=lambda x: (np.asarray(x) - 1.0 + a) ** 2)
 
 
 class TestEndCorrections:

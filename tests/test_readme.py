@@ -1,5 +1,6 @@
 """Every command of the README's command-line block runs and exits with 0,
-and its Python example prints what its comments say."""
+and on every catalog model either runs or fails with one clean error line;
+its Python example prints what its comments say."""
 
 import contextlib
 import io
@@ -39,6 +40,43 @@ def test_command_exits_zero(argv):
         code = main(list(argv))
     assert code == 0, err.getvalue()
     assert out.getvalue()
+
+
+MODELS = {"riemann": ["--model", "riemann"],
+          "hurwitz": ["--model", "hurwitz", "--a", "0.25"],
+          "airy": ["--model", "airy"],
+          "pcf": ["--model", "pcf", "--a", "1"],
+          "chf": ["--model", "chf", "--a", "0.5", "--b", "1.5"]}
+
+
+def _on_model(argv, model):
+    """argv with its --model and model parameters replaced by the model's."""
+    out, rest = [argv[0]], iter(argv[1:])
+    for arg in rest:
+        if arg in ("--model", "--a", "--b"):
+            next(rest)
+        else:
+            out.append(arg)
+    return out[:1] + MODELS[model] + out[1:]
+
+
+PAIRS = [(argv, model) for argv in COMMANDS if "--model" in argv for model in MODELS]
+
+
+@pytest.mark.parametrize("argv, model", PAIRS,
+                         ids=[f"{model}: {' '.join(a)}" for a, model in PAIRS])
+def test_command_on_every_model(argv, model):
+    # exit 0 with output, or exit 1 with exactly one error line and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_on_model(argv, model))
+    if code == 0:
+        assert out.getvalue()
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
 
 
 def _python_block():

@@ -3,11 +3,13 @@ import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from zetakit import (AsymExpansion, ShiftParams, bernoulli_poly,
                      classify_poles, gamma, omega_table, shifted_values,
                      zeta_series)
-from zetakit.catalog import ln_gamma_continued
+from zetakit.asym import l_asy_eval
+from zetakit.catalog import ZeroSequence, _airy_head, airy_zero_seed, ln_gamma_continued
 
 from conftest import rel_err
 
@@ -141,6 +143,45 @@ class TestShiftedValues:
         p = rep.report.pole_at(1.5)
         assert rel_err(p.residue, 2.0 ** -1.5 / math.pi) < 1e-12
 
+    # alpha = 3/2, m = 1: row 1 carries d[1, 1], so s = 1/2 is a double pole
+    DOUBLE = AsymExpansion(alpha=1.5, m=1, M=1, N=3, psi=2.0,
+                           d={(0, 0): 0.7, (1, 1): 0.4 + 0.1j, (1, 0): 0.3, (2, 0): 0.2})
+
+    def test_double_pole_residue(self):
+        # the residue of A^(-s) zeta(s) at a double pole takes -ln A c_{-2} too;
+        # the reference is the trapezoid rule of the test below, at 32-128 points
+        rep = shifted_values(self.DOUBLE, ShiftParams(2.0, 0.0))
+        p = rep.report.pole_at(0.5)
+        assert p.order == 2
+        assert abs(p.residue - (-0.156128617689 + 0.057235568604j)) < 1e-10
+
+    @pytest.mark.parametrize("A, B", [(2.0, 0.0), (0.5 + 1.0j, 0.0), (3.0, 0.4 - 0.2j)])
+    def test_residues_against_the_trapezoid_rule(self, A, B):
+        # (1/2 pi i) of the integral of A^(-s) L_asy(s) over |s - x| = 1/4,
+        # by the trapezoid rule on 64 points, is the residue at every pole
+        shift = ShiftParams(A, B)
+        rep = shifted_values(self.DOUBLE, shift)
+        om = omega_table(self.DOUBLE, shift)
+        e = 0.25 * np.exp(2j * np.pi * np.arange(64) / 64)
+        for p in rep.report.poles:
+            ref = np.mean([x * A ** -(p.location + x) * l_asy_eval(om, p.location + x, 1.0)
+                           for x in e])
+            assert abs(p.residue - ref) < 1e-10, p
+
+    def test_simple_poles_keep_the_scaled_residue(self, riemann, airy):
+        for model in (riemann, airy):
+            base = classify_poles(model.asym)
+            rep = shifted_values(model.asym, ShiftParams(2.0, 0.0))
+            for p, q in zip(base.poles, rep.report.poles):
+                assert q.residue == 2.0 ** complex(-p.location) * p.residue
+
+    def test_zeta_prime0_needs_the_boundary_value(self, riemann):
+        # B != 0 moves ln F(0) to ln F(-B/A): without it there is no zeta'(0);
+        # B = 0 keeps it: zeta(s) = 2^(-s) zeta_R(s) has zeta'(0) = -ln(pi)/2
+        assert shifted_values(riemann.asym, ShiftParams(1.0, -0.75)).report.zeta_prime0 is None
+        assert shifted_values(riemann.asym, ShiftParams(2.0, 0.0)).report.zeta_prime0 \
+            == pytest.approx(-0.5 * math.log(math.pi), rel=1e-14)
+
     def test_cancellation_flags_skip_exact_zeros(self):
         # the identity shift keeps the table; entries at or below 1e-14 are
         # exact zeros to every table reader, a 1e-12 entry may have lost digits
@@ -182,29 +223,41 @@ class TestRightmostPole:
 
 
 class TestNegativeBinomialRelation:
-    def test_airy_shifted_series_oracle(self, airy):
-        # zeta_{A,B}(s) = sum_{n<m0} lam^-s + A^-s sum_k (-1)^k/k! (B/A)^k
-        #   Gamma(s+k)/Gamma(s) [zeta(s+k) - partial_{m0-1}] at real s > alpha
-        A, B = 2.0, 0.3
-        s = 3.0
-        zs = airy.zeros.values(4000)
-        lam = A * zs + B
-        direct = complex(np.sum(lam ** -s))
-        # crude tail completion by comparison at doubled length
-        lam2 = A * airy.zeros.values(8000) + B
-        direct2 = complex(np.sum(lam2 ** -s))
-        tail_scale = abs(direct2 - direct)
-        m0 = 4
-        acc = complex(np.sum(lam[:m0 - 1] ** -s))
+    # zeta_{A,B}(s) = sum_{n<m0} lam^-s + A^-s sum_k (-1)^k/k! (B/A)^k
+    #   Gamma(s+k)/Gamma(s) [zeta(s+k) - partial_{m0-1}] at real s > alpha
+    A, B, S = 2.0, 0.3, 3.0
+
+    def _shifted_by_the_relation(self, airy, m0=4):
+        A, B, s = self.A, self.B, self.S
+        zs = airy.zeros.values(m0 - 1)
+        acc = complex(np.sum((A * zs + B) ** -s))
         ratio = 1.0
         for k in range(0, 40):
             if k > 0:
                 ratio *= (s + k - 1) * (-(B / A)) / k
             zk = zeta_series(airy.zeros, s + k, 3000)
-            partial = complex(np.sum(zs[:m0 - 1] ** -(s + k)))
-            term = A ** -s * ratio * (zk - partial)
+            term = A ** -s * ratio * (zk - complex(np.sum(zs ** -(s + k))))
             acc += term
             if abs(term) < 1e-14:
                 break
-        ref = zeta_series(airy.zeros, s, 8000)  # only for scale sanity
-        assert abs(acc - direct2) < max(1e-8, 10 * tail_scale)
+        return acc
+
+    def test_airy_shifted_series_oracle(self, airy):
+        zs = airy.zeros.values(4000)
+        direct = complex(np.sum((self.A * zs + self.B) ** -self.S))
+        # crude tail completion by comparison at doubled length
+        lam2 = self.A * airy.zeros.values(8000) + self.B
+        direct2 = complex(np.sum(lam2 ** -self.S))
+        tail_scale = abs(direct2 - direct)
+        assert abs(self._shifted_by_the_relation(airy) - direct2) < max(1e-8, 10 * tail_scale)
+
+    def test_composed_zero_sequence(self, airy):
+        # A a_n + B as a sequence of its own, with its head and its g composed:
+        # the same values as A zs + B, and zeta_series sums them with a tail
+        A, B = self.A, self.B
+        seq = ZeroSequence(1.5, g=lambda x: A * airy_zero_seed(x) + B, n_exact=60,
+                           head=lambda c: A * _airy_head(c) + B)
+        assert np.array_equal(seq.values(4000), A * airy.zeros.values(4000) + B)
+        want = self._shifted_by_the_relation(airy)
+        for n_terms in (1000, 4000):
+            assert abs(zeta_series(seq, self.S, n_terms) - want) < 1e-13
