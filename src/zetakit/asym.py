@@ -13,7 +13,7 @@ the analytically continued representation.
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,7 @@ from .series import LogCoeffs, PowerSeries, log_coeffs
 
 _ZERO_THRESHOLD = 1e-14
 _INT_TOL = 1e-9
-_INDETERMINATE_AT_0 = ("indeterminate at 0: M >= 2 but the order-(M-1) "
-                       "residue combination cancels")
-
-
-def _near_int(x: float, tol: float = _INT_TOL):
-    r = round(x)
-    return (abs(x - r) <= tol, int(r))
+_TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -83,19 +77,17 @@ class AsymExpansion:
     def j_for_location(self, x: float):
         """Grid index with alpha - j/m = x, or None if x is off-grid."""
         jf = self.m * (self.alpha - x)
-        ok, j = _near_int(jf)
-        if ok and 0 <= j <= self.N:
+        j = round(jf)
+        if abs(jf - j) <= _INT_TOL and 0 <= j <= self.N:
             return j
         return None
 
     def max_log_power(self, j: int):
         """Largest k with |d_{j,k}| above threshold, or None if all vanish."""
-        best = None
         for k in range(self.M, -1, -1):
-            if abs(self.entry(j, k)) > _ZERO_THRESHOLD:
-                best = k
-                break
-        return best
+            if abs(self.d.get((j, k), 0j)) > _ZERO_THRESHOLD:
+                return k
+        return None
 
     def strip_left_edge(self) -> float:
         return self.alpha - self.N / self.m - self.delta
@@ -150,7 +142,6 @@ class PoleReport:
     zeta0: complex | None
     zeta0_is_pole: bool = False
     zeta_prime0: complex | None = None
-    notes: tuple = field(default_factory=tuple)
 
     def pole_at(self, x: float, tol: float = 1e-9):
         for p in self.poles:
@@ -170,79 +161,90 @@ def log_compose(raw) -> np.ndarray:
     return log_coeffs(PowerSeries([1.0, *raw, 0.0])).b[:-1]
 
 
+def _laurent(asym: AsymExpansion, j: int):
+    """(x0, c): the Laurent coefficients c[k] = c_{-k}, k = 0 .. K, of row j's
+    ``l_asy_eval`` term at x0 = alpha - j/m; c_{-K} is the highest nonzero
+    one, so K is the pole order.
+
+    With s = x0 + eps the term is e^{i x0 psi} ray_prefactor(s) times
+    sum_k d_{j,k} (x0 I_k + k I_{k-1}), where I_n = int_R^inf t^(mu-1)
+    ln^n(t e^{i psi}) dt has the principal part
+    sum_{q<=n} n!/(n-q)! (i psi)^(n-q) eps^(-q-1), free of R.  That of
+    e^{-i psi eps} I_n is n!/eps^(n+1), and e^{i psi eps} e^{i x0 psi}
+    ray_prefactor(s) = (e^{2 pi i s} - 1)/(2 pi i).  So the principal part is
+    that of the product of two short series: sum_i i! d_{j,i} eps^(-i-1) and
+    the Taylor series at x0 of s (e^{2 pi i s} - 1)/(2 pi i),
+    g_t = x0 q_t + q_{t-1} with q_0 = (e^{2 pi i x0} - 1)/(2 pi i) and
+    q_r = e^{2 pi i x0} (2 pi i)^(r-1)/r!; c_{-k} = sum_i i! d_{j,i} g_{i+1-k},
+    i up to the top log power kbar above threshold.  Off the integers
+    K = kbar + 1 and c_0 is not read.  At an integer e^{2 pi i x0} = 1
+    exactly, so q_0 = 0, K is kbar (kbar - 1 at 0) and c_0 is the regular
+    value, free of R: x0 d_{j,0} for a lone d_{j,0}, the commonest row.
+    """
+    x0 = asym.alpha - j / asym.m
+    # max_log_power, inline: every continued_zeta call reads every row
+    d, kbar = asym.d, asym.M
+    while kbar >= 0 and abs(d.get((j, kbar), 0j)) <= _ZERO_THRESHOLD:
+        kbar -= 1
+    if kbar < 0:
+        return x0, [0j]
+    n = round(x0)
+    if abs(x0 - n) <= _INT_TOL:
+        x0 = float(n)
+        if kbar == 0:
+            return x0, [x0 * d[(j, 0)]]
+        order, q_prev, q = kbar - (n == 0), 0.0, 1.0
+    else:
+        e2 = cmath.exp(_TWO_PI_I * x0)
+        order, q_prev, q = kbar + 1, (e2 - 1.0) / _TWO_PI_I, e2
+    g = [x0 * q_prev]
+    for t in range(1, kbar + 2):
+        g.append(x0 * q + q_prev)
+        q_prev, q = q, q * _TWO_PI_I / (t + 1)
+    c = [0j] * (order + 1)
+    fact = 1
+    for i in range(kbar + 1):
+        di = d.get((j, i), 0j) * fact
+        for k in range(min(i + 1, order) + 1):
+            c[k] += di * g[i + 1 - k]
+        fact *= i + 1
+    return x0, c
+
+
 def residue_at(asym: AsymExpansion, j: int) -> complex:
-    """Residue at s = alpha - j/m from the coefficient table."""
-    x0 = asym.location(j)
-    is_int, _ = _near_int(x0)
-    if is_int and abs(x0) <= _INT_TOL:
-        # s = 0 with M >= 2: dedicated formula
-        if asym.M < 2:
-            raise DomainError("s = 0 is a regular point for M <= 1")
-        return sum(
-            asym.entry(j, k) * (2j * math.pi) ** (k - 1) * k
-            for k in range(2, asym.M + 1)
-        )
-    e2 = 1.0 + 0.0j if is_int else cmath.exp(2j * math.pi * x0)
-    total = 0.0 + 0.0j
-    if asym.M >= 0:
-        total += asym.entry(j, 0) * x0 * (e2 - 1.0)
-    if asym.M >= 1:
-        total += asym.entry(j, 1) * ((2j * math.pi * x0 + 1.0) * e2 - 1.0)
-    if asym.M >= 2:
-        for k in range(2, asym.M + 1):
-            total += asym.entry(j, k) * (2j * math.pi) ** (k - 1) * e2 \
-                * (2j * math.pi * x0 + k)
-    res = total / (2j * math.pi)
-    if abs(res) <= _ZERO_THRESHOLD and asym.max_log_power(j) is None:
-        return 0.0 + 0.0j
-    return res
+    """Residue at s = alpha - j/m: c_{-1} of the row's ``_laurent``, 0 if regular."""
+    c = _laurent(asym, j)[1]
+    return c[1] if len(c) > 1 else 0j
 
 
 def _grid_point(asym: AsymExpansion, j: int):
     """What row j of the table gives at its location x0 = alpha - j/m.
 
-    The one meromorphic rule every reader shares.  With kbar the top
-    nonzero log power, the row carries a pole (a ``PoleInfo``) whose order
-    is kbar at nonzero integers and one more off the integers; at s = 0 a
-    pole of order M - 1 when M >= 2, or None when its residue cancels.
-    Else the regular value: x0 d_{j,0}, d_{j,1} at s = 0, and 0 for an
-    empty row.
+    The one meromorphic rule every reader shares, read off the row's
+    Laurent expansion (``_laurent``): a pole (a ``PoleInfo``) of order K
+    with residue c_{-1} when K >= 1, else the regular value c_0.
     """
-    kbar = asym.max_log_power(j)
-    if kbar is None:
-        return 0.0 + 0.0j
-    x0 = asym.location(j)
-    is_int, _ = _near_int(x0)
-    if is_int and abs(x0) <= _INT_TOL:
-        if asym.M <= 1:
-            return asym.entry(j, 1)
-        res0 = residue_at(asym, j)
-        return PoleInfo(0.0, asym.M - 1, res0) if abs(res0) > _ZERO_THRESHOLD else None
-    order = kbar if is_int else kbar + 1
-    if order >= 1:
-        return PoleInfo(x0, order, residue_at(asym, j))
-    return x0 * asym.entry(j, 0)
+    x0, c = _laurent(asym, j)
+    return c[0] if len(c) == 1 else PoleInfo(x0, len(c) - 1, c[1])
 
 
 def classify_poles(asym: AsymExpansion) -> PoleReport:
     """Pole locations, orders, and residues implied by the table.
 
-    Every row is read by the one grid-point rule of ``_grid_point``: the
-    poles are the rows that give one, and regular rows are omitted.
-    zeta(0) is what the row at s = 0 gives (0 when there is none): its
-    stored value d_{j',1} for M <= 1, in general a pole of order M - 1 for
-    M >= 2.  zeta'(0) is reported for M <= 1.
+    Every row is read by the one grid-point rule of ``_grid_point``, the
+    Laurent expansion of its ``l_asy_eval`` term: the poles are the rows
+    that give one.  zeta(0) is what the row at s = 0 gives (0 when there is
+    none), a pole when its top log power is 2 or more.  zeta'(0) is
+    reported for M <= 1.
     """
     rows = {j: _grid_point(asym, j) for j in sorted({jk[0] for jk in asym.d})}
     poles = tuple(p for p in rows.values() if isinstance(p, PoleInfo))
-    j_at_zero = asym.j_for_location(0.0)
-    zeta0 = rows.get(j_at_zero, 0.0 + 0.0j)
-    notes = (_INDETERMINATE_AT_0, ) if zeta0 is None else ()
+    zeta0 = rows.get(asym.j_for_location(0.0), 0.0 + 0.0j)
     zeta0_is_pole = isinstance(zeta0, PoleInfo)
     if zeta0_is_pole:
         zeta0 = None
     zp0 = zeta_prime_zero(asym) if asym.M <= 1 else None
-    return PoleReport(poles, zeta0, zeta0_is_pole, zp0, notes)
+    return PoleReport(poles, zeta0, zeta0_is_pole, zp0)
 
 
 def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
@@ -260,8 +262,7 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
         if isinstance(at0, PoleInfo):
             raise PoleError(at0.location, at0.order, at0.residue)
         raise DomainError("zeta'(0) from the table needs M <= 1")
-    d0 = asym.entry(jz, 0) if jz is not None else 0.0 + 0.0j
-    d1 = asym.entry(jz, 1) if jz is not None else 0.0 + 0.0j
+    d0, d1 = asym.entry(jz, 0), asym.entry(jz, 1)
     if m_neg is None:
         return 1j * math.pi * d1 + d0 - asym.ln_f0
     return (1j * math.pi * m_neg + d0.real - math.pi * d1.imag
@@ -319,8 +320,8 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
 
     Evaluates the finite double sum obtained by integrating the subtracted
     asymptotic terms along the ray from R to infinity.  At a grid location
-    the term of its row is what ``classify_poles`` reads there: the regular
-    value, or a :class:`PoleError` carrying the order and residue.
+    the term of its row is what ``classify_poles`` reads off ``_laurent``:
+    the regular value, or a :class:`PoleError` with the order and residue.
     """
     s = complex(s)
     if R <= 0:
@@ -341,8 +342,6 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
             got = _grid_point(asym, j)
             if isinstance(got, PoleInfo):
                 raise PoleError(got.location, got.order, got.residue)
-            if got is None:
-                raise DomainError(_INDETERMINATE_AT_0)
             total += got
             continue
         phase = cmath.exp(1j * x0 * asym.psi)

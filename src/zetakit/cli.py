@@ -120,7 +120,9 @@ def _value_entry(model, report, logc, n: int, check: bool, kw: dict):
         elif model.log_deriv is not None and n != 0:
             other = continued_zeta(model, float(n), **kw)
         elif model.log_deriv is not None:
-            other = continued_zeta(model, 1e-6, **kw)
+            # zeta is regular at 0: the mean at +-h cancels the zeta'(0) h term
+            other = 0.5 * (continued_zeta(model, 1e-5, **kw)
+                           + continued_zeta(model, -1e-5, **kw))
         if other is not None:
             entry["check_discrepancy"] = abs(val - other)
     return entry
@@ -163,6 +165,20 @@ def _params_doc(model):
     return {k: _cjson(v) if isinstance(v, complex) else v for k, v in model.params.items()}
 
 
+def _residue_from_steps(asym, pole, R: float) -> complex:
+    """c_{-1} at a pole of order k, read off f(h) = h^k l_asy_eval(p + h) at
+    h = 10^(-3-i), i = 0..k, as the h^(k-1) coefficient of their degree-k
+    interpolant: Neville's recursion on coefficient lists, which at k = 1 is
+    the two-point rule (h1 f2 - h2 f1)/(h1 - h2)."""
+    hs = [10.0 ** (-3 - i) for i in range(pole.order + 1)]
+    polys = [[h ** pole.order * l_asy_eval(asym, pole.location + h, R)] for h in hs]
+    for lvl in range(1, len(hs)):
+        polys = [[(hi * b - hj * a + (a1 - b1)) / (hi - hj)
+                  for a, b, a1, b1 in zip(pa + [0j], pb + [0j], [0j] + pa, [0j] + pb)]
+                 for hi, hj, pa, pb in zip(hs, hs[lvl:], polys, polys[1:])]
+    return polys[0][pole.order - 1]
+
+
 def cmd_poles(args) -> int:
     model = _build_model(args)
     report = classify_poles(model.asym)
@@ -170,11 +186,8 @@ def cmd_poles(args) -> int:
     for p in report.poles:
         e = {"location": p.location, "order": p.order, "residue": _cjson(p.residue)}
         if args.check:
-            h1, h2 = 1e-3, 1e-4
-            f1 = (h1 ** p.order) * l_asy_eval(model.asym, p.location + h1, args.R or 1.0)
-            f2 = (h2 ** p.order) * l_asy_eval(model.asym, p.location + h2, args.R or 1.0)
-            rich = (h1 * f2 - h2 * f1) / (h1 - h2)
-            e["check_discrepancy"] = abs(rich - p.residue)
+            e["check_discrepancy"] = abs(_residue_from_steps(model.asym, p, args.R or 1.0)
+                                         - p.residue)
         entries.append(e)
     doc = {"command": "poles", "model": model.name, "params": _params_doc(model),
            "poles": entries,

@@ -126,8 +126,7 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     zeta_prime0 = None
     if base.zeta_prime0 is not None and (ln_f_shifted is not None or shift.B == 0):
         zeta_prime0 = base.zeta_prime0 - base.zeta0 * ln_a
-    report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole,
-                        zeta_prime0, base.notes)
+    report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole, zeta_prime0)
     values = {}
     for n in n_values:
         n = int(n)

@@ -10,6 +10,7 @@ from zetakit import (AsymExpansion, DomainError, PoleError, ShiftParams,
                      StripError, classify_poles, gamma, hurwitz_model,
                      l_asy_eval, log_coeffs, log_compose, omega_table,
                      residue_at, zeta_int_leq_alpha, zeta_prime_zero)
+from zetakit.asym import _laurent
 
 from conftest import rel_err
 
@@ -46,6 +47,13 @@ class TestLogCompose:
                 0, 12)
             for j in range(1, 13):
                 assert abs(got[j] - complex(ref[j])) < 1e-12
+
+
+def _trapezoid_laurent(asym, x0, top, radius, R=1.0, n=128):
+    """c_{-k}, k = 0..top, of l_asy_eval at x0: the trapezoid rule on |s - x0| = radius."""
+    z = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    vals = np.array([l_asy_eval(asym, x0 + zk, R) for zk in z])
+    return [complex(np.mean(vals * z ** k)) for k in range(top + 1)]
 
 
 def _synthetic(d, alpha=1.0, m=1, M=1, N=8, psi=2.0, ln_f0=0.0):
@@ -95,14 +103,19 @@ class TestClassifyPoles:
         assert rep.pole_at(-1.0) is None
         assert rep.poles == ()
 
-    def test_pole_at_zero_m2(self):
-        a = AsymExpansion(alpha=1.0, m=1, M=2, N=4,
-                          d={(1, 2): 1.0 + 0.0j}, psi=2.0)
-        rep = classify_poles(a)
+    @pytest.mark.parametrize("M, d, order, residue", [
+        (2, {(1, 2): 1.0}, 1, 2.0),
+        (3, {(1, 2): 1.0}, 1, 2.0),
+        (3, {(1, 3): 1.0}, 2, 6j * math.pi),
+    ], ids=["d12-M2", "d12-M3", "d13-M3"])
+    def test_pole_at_zero_log_rows(self, M, d, order, residue):
+        # at s = 0 the row d_{1,k} ln^k z gives a pole of order k - 1 with
+        # residue k!/(k-2)! (i pi)^(k-2), whatever M is
+        rep = classify_poles(AsymExpansion(alpha=1.0, m=1, M=M, N=4, d=d, psi=2.0))
         p = rep.pole_at(0.0)
-        assert p is not None and p.order == 1
-        assert p.residue == pytest.approx(2 * (2j * math.pi), rel=1e-14)
-        assert rep.zeta0_is_pole
+        assert p is not None and p.order == order
+        assert abs(p.residue - residue) <= 1e-14 * abs(residue)
+        assert rep.zeta0_is_pole and rep.zeta0 is None
 
     def test_orders_bounded_by_log_degree(self, riemann, airy, chf_half):
         for model in (riemann, airy, chf_half):
@@ -279,12 +292,13 @@ class TestOneGridRule:
             assert (got.location, got.order, got.residue) == (p.location, p.order, p.residue)
         assert p.order == 1
 
-    def test_cancelled_residue_at_zero_is_indeterminate(self):
+    def test_single_log_at_zero_is_regular_for_any_m(self):
+        # d_{j,1} ln z at s = 0 gives the value d_{j,1}, also when M >= 2
         a = AsymExpansion(alpha=1.0, m=1, M=2, N=4, d={(1, 1): 0.3}, psi=2.0)
         rep = classify_poles(a)
-        assert rep.zeta0 is None and not rep.zeta0_is_pole and rep.notes
-        with pytest.raises(DomainError, match="indeterminate"):
-            l_asy_eval(a, 0.0, 1.0)
+        assert rep.zeta0 == 0.3 and not rep.zeta0_is_pole
+        assert l_asy_eval(a, 0.0, 1.0) == 0.3
+        assert _trapezoid_laurent(a, 0.0, 1, 0.25)[0] == pytest.approx(0.3, abs=1e-14)
         with pytest.raises(DomainError, match="needs M <= 1"):
             zeta_prime_zero(a)
 
@@ -310,3 +324,64 @@ class TestOneGridRule:
         omega = omega_table(source, ShiftParams(1.0, 0.2))
         self._same_integer_values(omega)
         assert [zeta_int_leq_alpha(omega, None, n) for n in (-2, -4, -6)] == [0, 0, 0]
+
+
+class TestLaurentOracle:
+    """Every row's order, residue and integer value against the Laurent
+    coefficients of l_asy_eval, taken by the trapezoid rule on a circle."""
+
+    @staticmethod
+    def _check_rows(asym, R=1.0):
+        rep = classify_poles(asym)
+        radius = 0.25 / asym.m
+        checked = []
+        for j in sorted({jk[0] for jk in asym.d}):
+            x0, c = _laurent(asym, j)
+            if x0 - radius <= asym.strip_left_edge():
+                continue
+            order = len(c) - 1
+            t = _trapezoid_laurent(asym, x0, order + 1, radius, R)
+            scale = max(1.0, max(abs(v) * radius ** -k for k, v in enumerate(t)))
+            tol = 1e-11 * scale
+            # c_{-order} is the highest nonzero coefficient
+            assert abs(t[order + 1]) * radius ** -(order + 1) <= tol, (j, x0)
+            is_int = abs(x0 - round(x0)) <= 1e-9
+            for k in range(0 if is_int else 1, order + 1):
+                assert abs(c[k] - t[k]) * radius ** -k <= tol, (j, x0, k)
+            if order:
+                assert abs(c[order]) * radius ** -order > 1e3 * tol, (j, x0)
+                p = rep.pole_at(x0)
+                assert p.order == order and abs(p.residue - t[1]) * radius ** -1 <= tol
+            else:
+                assert rep.pole_at(x0) is None
+                assert abs(l_asy_eval(asym, x0, R) - t[0]) <= tol, (j, x0)
+            checked.append((x0, order))
+        return checked
+
+    @pytest.mark.parametrize("model", ["riemann", "hurwitz_quarter", "airy", "pcf_one",
+                                       "chf_half"])
+    def test_catalog_rows(self, request, model):
+        asym = request.getfixturevalue(model).asym
+        assert self._check_rows(asym)
+
+    @pytest.mark.parametrize("M, d, order", [
+        (2, {(1, 2): 1.0}, 1), (3, {(1, 3): 1.0}, 2), (3, {(1, 2): 1.0}, 1),
+        (2, {(1, 1): 0.3}, 0), (4, {(1, 4): 0.5, (1, 2): -1.0, (0, 3): 0.2j}, 3),
+    ], ids=["d12-M2", "d13-M3", "d12-M3", "d11-M2", "d14-M4"])
+    def test_log_rows_at_zero(self, M, d, order):
+        a = AsymExpansion(alpha=1.0, m=1, M=M, N=4, d=d, psi=2.0)
+        assert (0.0, order) in self._check_rows(a)
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(20)
+        at_zero = 0
+        for _ in range(40):
+            m, M = int(rng.integers(1, 3)), int(rng.integers(0, 5))
+            alpha = float(rng.integers(1, 5)) / m + (0.3 if rng.random() < 0.4 else 0.0)
+            N = math.ceil(alpha * m) + int(rng.integers(1, 4))
+            d = {(j, k): complex(*rng.normal(size=2))
+                 for j in range(N + 1) for k in range(M + 1) if rng.random() < 0.5}
+            a = AsymExpansion(alpha=alpha, m=m, M=M, N=N, d=d,
+                              psi=float(rng.uniform(-1.0, 4.0)))
+            at_zero += sum(x0 == 0.0 and M >= 2 for x0, _ in self._check_rows(a))
+        assert at_zero >= 5

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from zetakit import cli
+from zetakit import AsymExpansion, cli
 from zetakit.catalog import RIEMANN_PSI
 from zetakit.cli import build_parser, main
 
@@ -53,6 +53,12 @@ class TestValues:
         assert entry["value"]["re"] == pytest.approx(a * (a - b) / (b * b * (b + 1)),
                                                      rel=1e-12)
         assert entry["check_discrepancy"] < 1e-9
+
+    def test_check_at_zero_below_first_order(self, capsys):
+        # a one-sided check at s = h would read |zeta'(0)| h = 9.2e-7 here
+        code, doc, _ = run_json(capsys, "values", "--model", "riemann", "--n", "0", "--check")
+        assert code == 0
+        assert doc["results"][0]["check_discrepancy"] < 1e-9
 
     def test_check_passes_ray_options(self, capsys):
         # pcf knows no zero-free radius: the check route needs the given --R
@@ -117,6 +123,20 @@ class TestPoles:
         code, doc, _ = run_json(capsys, "poles", "--model", "riemann", "--check")
         assert code == 0
         assert doc["poles"][0]["check_discrepancy"] < 1e-3
+
+    def test_check_reads_the_residue_at_a_double_pole(self, capsys):
+        # d_{1,1} z^(1/2) ln z gives a pole of order 2 at 1/2 with residue -1/2 + i/pi
+        asym = AsymExpansion(alpha=1.5, m=1, M=1, N=3, psi=2.0,
+                             d={(0, 0): 0.5, (1, 1): 1.0})
+        spec = json.dumps({"model": "user", "series": {"coeffs": [{"re": 1.0}, {"re": 0.5}]},
+                           "asym": json.loads(asym.to_json())})
+        code, doc, _ = run_json(capsys, "poles", "--model", spec, "--check")
+        assert code == 0
+        pole = next(p for p in doc["poles"] if p["location"] == 0.5)
+        assert pole["order"] == 2
+        assert complex(pole["residue"]["re"], pole["residue"]["im"]) \
+            == pytest.approx(-0.5 + 1j / math.pi, rel=1e-14)
+        assert all(p["check_discrepancy"] < 1e-6 for p in doc["poles"])
 
 
 class TestShift:
