@@ -14,26 +14,25 @@ import numpy as np
 
 from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
-from .errors import (ConditioningWarning, DomainError, PoleError,
+from .errors import (AccuracyError, ConditioningWarning, DomainError, PoleError,
                      SlowConvergenceError, StripError)
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 
 _DEFAULT_QUAD_TOL = 1e-11
+_MAX_HEAD = 100_000     # the most terms zeta_series adds to its head for the tail
 
 
 def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> complex:
     """Direct summation of a_n^(-s) plus an Euler-Maclaurin tail estimate.
 
-    The branch of the power is the cut-at-psi logarithm (default: principal).
-    The head is one pairwise ``np.sum`` over the term array; the tail is
-    ``euler_maclaurin_tail`` of f = g^(-s) with the decay exponent
-    p = s/alpha.  Only the s-dependent work runs per call: the log table of
-    the a_n and ``tail_table(N)`` are memoized on the sequence (see
-    ``ZeroSequence``), so f on the tail's node array, recognized by
-    identity, is a power of the stored g.  Requires n_terms >= 0,
-    Re(s) > alpha + 0.25, and Re g(N) >= 1 at the tail's start
-    N = n_terms + 1 (the last stored g), so the tail estimate is
-    trustworthy; else it raises ``DomainError`` before summing.
+    The head, n <= max(n_terms, n_exact) so every refined element is summed
+    directly, is one pairwise ``np.sum`` with the power cut at psi (default:
+    principal).  The tail from N past it is ``euler_maclaurin_tail`` of
+    h = q^(-s), p = s/alpha; while it refuses N (its error estimate), the head
+    grows to 2N - 1 terms.  The log table of the a_n and ln q on each circle
+    are memoized on the sequence (see ``ZeroSequence``).  Requires
+    n_terms >= 0, Re(s) > alpha + 0.25 and Re a_N >= 1 at N = n_terms + 1;
+    else it raises before summing.
     """
     s = complex(s)
     if n_terms < 0:
@@ -42,20 +41,23 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
         raise SlowConvergenceError(
             f"Re s = {s.real} too close to the abscissa alpha = {zeros.alpha}; "
             "use the continued representation instead")
-    n = n_terms + 1
-    nodes, g_nodes = zeros.tail_table(n)
-    g_start = g_nodes[-1].real
-    if not g_start >= 1.0:
+    count = max(n_terms, zeros.n_exact)
+    start = zeros.values(max(count, n_terms + 1))[n_terms].real
+    if not start >= 1.0:
         raise DomainError(
-            f"the Euler-Maclaurin tail from N = {n} starts at Re g(N) = {g_start:.6g} "
-            "< 1; sum more terms directly (raise n_terms)")
-
-    def f(x):
-        return (g_nodes if x is nodes else np.asarray(zeros.g(x), dtype=complex)) ** (-s)
-
-    head = complex(np.sum(np.exp(-s * zeros.log_table(n_terms, psi))))
-    tail = euler_maclaurin_tail(f, n, s / zeros.alpha)
-    return head + tail
+            f"the Euler-Maclaurin tail from N = {n_terms + 1} starts at Re g(N) = Re a_N = "
+            f"{start:.6g} < 1; sum more terms directly (raise n_terms)")
+    while True:
+        log_q, real_q = zeros.log_q(count + 1)
+        head = complex(np.sum(np.exp(-s * zeros.log_table(count, psi))))
+        try:
+            return head + euler_maclaurin_tail(
+                np.exp(-s * log_q), count + 1, s / zeros.alpha, zeros.m,
+                real=real_q and s.imag == 0.0)
+        except AccuracyError:
+            if count >= _MAX_HEAD:
+                raise
+            count = 2 * count + 1
 
 
 def _geometric_points(a: float, b: float):
@@ -86,6 +88,20 @@ def _require_eval(model: CatalogModel):
             "quadrature representations are unavailable")
 
 
+def _zeros_inside(model: CatalogModel, R: float) -> int:
+    """The number of zeros of F inside |z| = R by the argument principle: the
+    mean of z F'/F over k equispaced points, k doubling from 64 until it is
+    within 1e-3 of an integer.  DomainError when 4096 points do not get
+    there: a zero lies close to the circle, or F'/F is not accurate on it."""
+    for k in 64 * 2 ** np.arange(7):
+        z = R * np.exp(2j * math.pi * np.arange(k) / k)
+        count = complex(np.mean(z * model.log_deriv(z)))
+        if abs(count - round(count.real)) <= 1e-3:
+            return round(count.real)
+    raise DomainError(f"the zero count inside |z| = {R} did not settle at 4096 points; "
+                      "choose another R")
+
+
 def _default_radius(model: CatalogModel, R):
     if R is not None:
         if R <= 0:
@@ -94,6 +110,9 @@ def _default_radius(model: CatalogModel, R):
             raise DomainError(
                 f"R = {R} must stay below the smallest zero modulus "
                 f"{model.first_zero_modulus}")
+        if model.first_zero_modulus is None and (inside := _zeros_inside(model, float(R))):
+            raise DomainError(f"the circle |z| = {R} encloses {inside} zeros of F; "
+                              "pass a smaller R")
         return float(R)
     if model.first_zero_modulus is None:
         raise DomainError("model does not know its smallest zero; pass R explicitly")

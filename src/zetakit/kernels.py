@@ -122,10 +122,10 @@ def bernoulli_number(n: int) -> float:
 # summed to 1e-18 for |w| >= 10
 _DIGAMMA_TAIL = [float(_bernoulli_fraction(2 * j)) / (2 * j) for j in range(9, 0, -1)]
 
-# B_{2j} / (2j)!, j = 1..10, each rounded once: the Euler-Maclaurin tail of
-# hurwitz_zeta_row, whose first omitted term is below 1e-17 relative at
-# x >= n_max + 10
-_ZETA_TAIL = np.array([float(_bernoulli_fraction(2 * j) / math.factorial(2 * j))
+# B_{2j} / (2j)!, j = 1..10, each rounded once: the Euler-Maclaurin
+# coefficients of hurwitz_zeta_row, whose first omitted term is below 1e-17
+# relative at x >= n_max + 10, and of quadrature.euler_maclaurin_tail
+EM_COEFFS = np.array([float(_bernoulli_fraction(2 * j) / math.factorial(2 * j))
                        for j in range(1, 11)])
 
 
@@ -169,7 +169,7 @@ def hurwitz_zeta_row(a, n_max: int) -> np.ndarray:
     head = ((a + np.arange(big_n)) ** -n[:, None]).sum(1)
     x = a + big_n
     rising = np.cumprod(n[:, None] + np.arange(19.0), axis=1)[:, ::2]
-    em = (_ZETA_TAIL * rising) @ x ** -np.arange(2.0, 21.0, 2.0)
+    em = (EM_COEFFS * rising) @ x ** -np.arange(2.0, 21.0, 2.0)
     return head + x ** (1.0 - n) * (1.0 / (n - 1.0) + 0.5 / x + em)
 
 

@@ -5,17 +5,18 @@ by the embedded error estimate, vectorized after Shampine (J. Comput. Appl.
 Math. 211, 2008): the integrand receives the nodes of every panel a
 refinement round evaluates as one 1-d array, and must return an array of
 complex values of the same length.  Panels are summed in deterministic
-(left-to-right) order so results are bit-stable.  The tail integral is a
-product-integration rule on Gauss-Legendre nodes.
+(left-to-right) order so results are bit-stable.  The Euler-Maclaurin
+tail of a zero sequence is a series in n^(-1/m): one FFT on a circle gives
+its coefficients, and each term is a Hurwitz zeta in closed form.
 """
 
-import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import AccuracyError, DivergenceError
+from .kernels import EM_COEFFS
 
 # Kronrod-15 nodes on [-1, 1] and weights; Gauss-7 weights sit on the
 # odd-indexed nodes.
@@ -161,141 +162,63 @@ def gauss_jacobi(n: int, beta: float):
     return rule
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(k: int):
-    """k Gauss-Legendre nodes u on [0, 1], the same nodes as complex numbers,
-    and the (k + 3) x k matrix taking the values h(u) to the coefficients of
-    h in the basis P_j(2u - 1), j < k, followed by the first three
-    derivatives of that expansion at u = 1.  The matrix is complex, the type
-    of every h it multiplies, so no product casts it."""
-    u, w = gauss_jacobi(k, 0.0)
-    p = [np.ones(k), 2.0 * u - 1.0]
-    for j in range(1, k - 1):
-        p.append(((2 * j + 1) * p[1] * p[j] - j * p[j - 1]) / (j + 1))
-    j = np.arange(k)
-    coef = (2.0 * j + 1.0)[:, None] * np.array(p) * w
-    # d^i/du^i P_j(2u - 1) at u = 1 is (j-i+1)...(j+i)/i!
-    ends = np.array([np.prod([j + m for m in range(1 - i, i + 1)], 0) / math.factorial(i)
-                     for i in (1, 2, 3)])
-    rule = u, u.astype(complex), np.vstack((coef, (ends[:, :, None] * coef).sum(1))) + 0j
-    for v in rule[1:]:
-        v.flags.writeable = False
-    return rule
+# the tail's circle: the K-th roots of unity, scaled by N^(-1/m); the
+# trapezoid rule on it takes values to Taylor coefficients by one product
+TAIL_K = 32
+TAIL_CIRCLE = np.exp(2j * math.pi * np.arange(TAIL_K) / TAIL_K)
+TAIL_CIRCLE.flags.writeable = False
+_INDEX = np.arange(float(TAIL_K))
+_DFT = np.exp(-2j * math.pi * np.outer(_INDEX, _INDEX) / TAIL_K) / TAIL_K
+_EM_POWERS = np.arange(2.0, 2.0 * len(EM_COEFFS) + 1.0, 2.0)
+_EM_SHIFTS = np.arange(2.0 * len(EM_COEFFS) - 1.0)
+TAIL_TOL = 1e-14     # the largest error estimate the tail accepts, relative
 
 
-# the tail's node counts: k doubles from 6 until two successive rules agree;
-# the first two rules are evaluated on one array, at these offsets in it
-_TAIL_LEVELS = (6, 12, 24, 48, 96)
-_FIRST_LEVELS = {6: 0, 12: 6}
-_MOMENT_J = np.arange(1.0, _TAIL_LEVELS[-1]) + 0j
+def euler_maclaurin_tail(h, n_start: int, p, m: int = 1, real: bool = False) -> complex:
+    """The sum of n^-p h(n^(-1/m)) over n >= N, for h analytic on |v| <= N^(-1/m).
 
+    ``h`` holds h on N^(-1/m) ``TAIL_CIRCLE``.  The trapezoid rule there, one
+    product with the DFT matrix (Trefethen & Weideman, SIAM Rev. 56, 2014),
+    gives psi_i = phi_i N^(-i/m), phi_i the Taylor coefficients of h.  The sum
+    is sum_i phi_i zeta(c_i, N), c_i = p + i/m, each Hurwitz zeta by
+    N^(1-c)/(c-1) + N^(-c)/2 + sum_j B_2j/(2j)! (c)_(2j-1) N^(1-c-2j), adding
+    terms j until the next is below roundoff or grows (at most ten).  ``real``:
+    p and h on the real axis are real, so psi is taken real.
 
-@lru_cache(maxsize=1)
-def _first_nodes():
-    """The nodes of the first rules in one array, followed by 1 so that N/u
-    ends at N, and the same nodes without the 1 as complex numbers."""
-    rules = [_legendre_rule(k) for k in _FIRST_LEVELS]
-    first = (np.concatenate([r[0] for r in rules] + [[1.0]]),
-             np.concatenate([r[1] for r in rules]))
-    for v in first:
-        v.flags.writeable = False
-    return first
-
-
-@lru_cache(maxsize=1024)
-def tail_nodes(n_start) -> np.ndarray:
-    """The points where ``euler_maclaurin_tail`` from n_start first evaluates
-    f: N/u over the nodes of its 6- and 12-node rules, then N itself.
-
-    One read-only array per n_start, the same object on every call while it
-    stays in the cache, so a caller may memoize values of f there by identity.
+    Error estimate: the aliasing of psi_(i+K) onto psi_i, at most (upper half
+    / lower half)^2 of the sum while psi decays geometrically (the largest
+    |psi_i| of each half), plus the expansion's last term unless it reached
+    roundoff.  AccuracyError when it exceeds ``TAIL_TOL`` of the sum: h is
+    not analytic on the disc, or not resolved on the circle, or ten terms do
+    not reach that far from this N; a later start mends each.
+    DivergenceError when Re p <= 1.
     """
-    x = float(n_start) / _first_nodes()[0]
-    x.flags.writeable = False
-    return x
-
-
-def _tail_moments(p: complex, k: int) -> np.ndarray:
-    """m_j = int_0^1 u^(p-2) P_j(2u - 1) du for j < k, as a running product.
-
-    The product runs in order, so a shorter table is a prefix of a longer one.
-    """
-    q = p - 1.0
-    j = _MOMENT_J[:k - 1]
-    ratios = np.empty(k, dtype=complex)
-    ratios[0] = 1.0 / q
-    np.divide(q - j, q + j, out=ratios[1:])
-    return np.multiply.accumulate(ratios)
-
-
-def _tail_integral(f, n_start: int, p):
-    """The integral of ``euler_maclaurin_tail`` with what its end corrections
-    read: (integral, f(N), h'(1), h''(1) and h'''(1) on the rule that agreed)."""
     p = complex(p)
     if p.real <= 1.0:
-        raise DivergenceError(f"tail decay x^-({p}) is not integrable")
+        raise DivergenceError(f"tail decay n^-({p}) is not summable")
+    psi = _DFT @ h
+    if real:
+        psi, p = psi.real, p.real
     n = float(n_start)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(f(tail_nodes(n_start)), dtype=complex)
-        h_first = n * fx[:-1] * _first_nodes()[1] ** -p
-        moments = _tail_moments(p, 12)
-        prev = None
-        for k in _TAIL_LEVELS:
-            u, u_complex, coef = _legendre_rule(k)
-            if k in _FIRST_LEVELS:
-                h = h_first[_FIRST_LEVELS[k]:_FIRST_LEVELS[k] + k]
-            else:
-                h = n * np.asarray(f(n / u), dtype=complex) * u_complex ** -p
-                moments = _tail_moments(p, k)
-            # the ufunc's own reduce, not the sum method's Python wrapper; no BLAS
-            c = np.add.reduce(coef * h, 1)
-            integral = complex(np.add.reduce(moments[:k] * c[:k]))
-            if not cmath.isfinite(integral):
-                raise DivergenceError(f"non-finite tail integrand from {n_start}")
-            if prev is not None and abs(integral - prev) <= 1e-14 * max(1.0, abs(integral)):
-                return integral, complex(fx[-1]), c[k:]
-            prev = integral
-    raise DivergenceError(
-        f"tail integral from {n_start} did not converge at 96 nodes; is p = {p} right?")
-
-
-def _end_derivatives(slopes, f_n: complex, n_start: int, p) -> tuple:
-    """f'(N) and f'''(N) from f(N) and h', h'', h''' at u = 1, h(u) = N f(N/u) u^-p.
-
-    H(u) = u^p h(u) = N f(N/u) gives f'(N) = -H'(1)/N^2 and
-    f'''(N) = -(H''' + 6H'' + 6H')(1)/N^4
-            = -(p(p+1)(p+2) h + 3(p+1)(p+2) h' + 3(p+2) h'' + h''')(1)/N^4.
-    """
-    p, n = complex(p), float(n_start)
-    h0, (h1, h2, h3) = n * f_n, slopes.tolist()
-    q, r = p + 2.0, (p + 1.0) * (p + 2.0)
-    return -(p * h0 + h1) / n ** 2, -(p * r * h0 + 3.0 * (r * h1 + q * h2) + h3) / n ** 4
-
-
-def euler_maclaurin_tail(f, n_start: int, p) -> complex:
-    """Tail sum over integer arguments n >= n_start.
-
-    Evaluates integral + f(N)/2 - f'(N)/12 + f'''(N)/720, the
-    Euler-Maclaurin estimate through the second correction term.
-
-    ``p`` is the decay exponent: f(x) ~ x^-p with Re p > 1, and x^p f(x) is
-    analytic in 1/x on [N, infinity].  With x = N/u the integral is
-    int_0^1 u^gamma h(u) du, gamma = p - 2, h(u) = N f(N/u) u^-p smooth.
-    The Legendre coefficients of h from k Gauss nodes are integrated
-    against the exact moments m_j = int_0^1 u^gamma P_j(2u - 1) du
-    (product integration, exact for f = x^-p).  k doubles from 6 until the
-    k- and 2k-node values agree to 1e-14 max(1, |I|).  DivergenceError
-    when Re p <= 1, or when no pair up to 96 nodes agrees, which is what a
-    wrongly declared p causes.  f'(N) and f'''(N) come from the same
-    product on the rule that agreed (``_legendre_rule``), so f is all the
-    tail needs.
-
-    f is called once on ``tail_nodes(n_start)``, which holds the nodes of
-    the 6- and 12-node rules and N, and once more for each later rule the
-    check needs; u^-p over those 18 nodes is taken once, and the moments
-    only as far as the rule reached.  Each rule's value has the bits it
-    has when that rule is evaluated on its own.
-    """
-    integral, f_n, slopes = _tail_integral(f, n_start, p)
-    f1, f3 = _end_derivatives(slopes, f_n, n_start, p)
-    return integral + f_n / 2.0 - f1 / 12.0 + f3 / 720.0
+    c = p + _INDEX / m
+    total = complex(psi @ (1.0 / (c - 1.0) + 0.5 / n))
+    # (c)_(2j-1), j = 1..10, for every c_i
+    rising = np.multiply.accumulate(c[:, None] + _EM_SHIFTS, axis=1)[:, ::2]
+    prev = math.inf
+    for term in (EM_COEFFS * n ** -_EM_POWERS * (psi @ rising)).tolist():
+        size = abs(term)
+        if size > prev or size <= 1e-17 * abs(total):
+            break
+        total += term
+        prev = size
+    mag = np.abs(psi)
+    upper = mag[TAIL_K // 2:].max()
+    alias = (upper / max(mag[:TAIL_K // 2].max(), upper)) ** 2 if upper else 0.0
+    power = n ** (1.0 - p)
+    tail = power * total
+    error = abs(power) * (alias * abs(total) + min(size, prev))
+    if not error <= TAIL_TOL * abs(tail):
+        raise AccuracyError(
+            f"the Euler-Maclaurin tail from N = {n_start} is not resolved: estimated "
+            f"error {error:.2g} against {abs(tail):.2g}; start it later")
+    return tail

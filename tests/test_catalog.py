@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import zetakit
-from zetakit import (DomainError, EULER_GAMMA, airy_model, airy_zeros, chf_model,
-                     hurwitz_model, log_coeffs, model_from_spec, pcf_model,
-                     riemann_model, zeta_int_leq_alpha, zeta_pos_int)
-from zetakit.catalog import ZeroSequence, _airy_head, airy_eval, airy_zero_seed
+from zetakit import (AccuracyError, DomainError, EULER_GAMMA, airy_model, airy_zeros,
+                     chf_model, euler_maclaurin_tail, hurwitz_model, log_coeffs,
+                     model_from_spec, pcf_model, riemann_model, zeta_int_leq_alpha,
+                     zeta_pos_int, zeta_series)
+from zetakit.catalog import ZeroSequence, _airy_head, airy_eval, airy_zero_q
+from zetakit.quadrature import TAIL_CIRCLE
 from zetakit.shift import ShiftParams, omega_table
 
 from conftest import ln_f_on_ray, rel_err
@@ -116,6 +118,25 @@ class TestHurwitzModel:
         for a in (0.0, -3.0):
             with pytest.raises(DomainError):
                 hurwitz_model(a)
+
+    @pytest.mark.parametrize("a", [-1.9999, 0.001, 0.5 + 5.0j, -50.5])
+    def test_elements_near_zero_exact(self, a):
+        # n - 1 + a, one rounding, up to n = 2|a - 1|: n (1 + (a - 1)/n) cancels
+        # there (a_3 = 1e-4 at a = -1.9999 came out 3.3e-12 off); past it the
+        # fill is within a few ulps
+        zeros = hurwitz_model(a).zeros
+        assert zeros.n_exact == math.ceil(2.0 * abs(a - 1.0))
+        vals = zeros.values(4 * zeros.n_exact)
+        want = np.arange(4.0 * zeros.n_exact) + a
+        assert np.array_equal(vals[:zeros.n_exact], want[:zeros.n_exact])
+        assert np.allclose(vals, want, rtol=1e-15, atol=0.0)
+
+    def test_series_near_a_zero_element(self):
+        # a_3 = 1e-4 dominates zeta(2, -1.9999), about 1e8
+        zeros = hurwitz_model(-1.9999).zeros
+        ref = complex(mp.zeta(2, -1.9999))
+        for n_terms in (3, 10, 100):
+            assert abs(zeta_series(zeros, 2.0, n_terms) - ref) <= 1e-14 * abs(ref), n_terms
 
     def test_eval_vanishes_at_zeros(self):
         hm = hurwitz_model(0.25)
@@ -258,9 +279,19 @@ class TestAiryZeros:
             assert abs(f) <= 1e-12 * max(1.0, abs(fp))
 
     def test_growth_exponent(self):
-        n = 10 ** 4
-        ratio = airy_zero_seed(n) / n ** (2.0 / 3.0)
-        assert abs(ratio - (3 * math.pi / 2) ** (2.0 / 3.0)) < 1e-3
+        # a_n / n^(2/3) = q(1/n) -> (3 pi / 2)^(2/3) with the 5/48 correction
+        for n in (1e2, 1e4):
+            t = 1.5 * math.pi * (n - 0.25)
+            want = (1.5 * math.pi * (1.0 - 0.25 / n)) ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
+            assert rel_err(airy_zero_q(1.0 / n), want) < 1e-15
+        assert rel_err(airy_zero_q(0.0), (1.5 * math.pi) ** (2.0 / 3.0)) < 1e-15
+
+    def test_q_is_the_dlmf_formula(self):
+        # n^(2/3) q(1/n) is DLMF 9.9.18 to its first correction, in t = 3 pi (4n - 1)/8
+        n = np.arange(1.0, 10001.0)
+        t = 3.0 * math.pi * (4.0 * n - 1.0) / 8.0
+        want = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
+        assert np.max(np.abs(n ** (2.0 / 3.0) * airy_zero_q(1.0 / n) / want - 1.0)) < 2e-15
 
     def test_head_matches_oracle(self, airy):
         vals = airy.zeros.values(12).real
@@ -270,39 +301,50 @@ class TestAiryZeros:
     def test_negative_n_exact_guard(self):
         with pytest.raises(DomainError):
             airy_zeros(-1)
-        assert airy_zeros(0).values(3)[0] == airy_zero_seed(1)
+        assert airy_zeros(0).values(3)[0] == airy_zero_q(np.array([1.0]))[0]
 
 
     @pytest.mark.parametrize("n_exact", [0, 5, 60])
     def test_values_are_the_head_then_the_formula(self, n_exact):
-        m = 500
-        want = np.r_[_airy_head(n_exact), airy_zero_seed(np.arange(n_exact + 1, m + 1))]
-        assert np.array_equal(airy_zeros(n_exact).values(m), want)
+        n = np.arange(n_exact + 1.0, 501.0)
+        want = np.r_[_airy_head(n_exact), n ** (1.0 / 1.5) * airy_zero_q(n ** -1.0)]
+        assert np.array_equal(airy_zeros(n_exact).values(500), want)
 
     def test_seed_takes_scalars_and_arrays(self):
-        x = np.array([1.0, 7.5, 1e4])
-        assert np.allclose(airy_zero_seed(x), [airy_zero_seed(v) for v in x],
-                           rtol=1e-15, atol=0.0)
+        # the formula behind Newton's seeds, the fill and the tail, on any array
+        v = np.array([1.0, 1.0 / 7.5, 1e-4, *(0.5 * TAIL_CIRCLE[:4])])
+        assert np.allclose(airy_zero_q(v), [airy_zero_q(x) for x in v], rtol=1e-15, atol=0.0)
 
 
 class TestZeroSequence:
     def test_g_alone_one_call_per_fill(self):
+        # a sequence given by its formula alone, g(n) = n^(1/alpha) q(n^(-1/m))
         calls = []
 
-        def g(x):
-            calls.append(np.array(x))
-            return (x - 0.5) ** 2
+        def q(v):
+            calls.append(np.array(v))
+            return (1.0 - 0.5 * v) ** 2
 
-        seq = ZeroSequence(0.5, g)
-        assert np.array_equal(seq.values(10), g(np.arange(1, 11)))
+        def formula(n):
+            return n ** 2.0 * (1.0 - 0.5 / n) ** 2
+
+        seq = ZeroSequence(0.5, q)
+        assert np.array_equal(seq.values(10), formula(np.arange(1.0, 11.0)))
         calls.clear()
         seq.values(10)
         seq.values(4)
         seq.log_table(7)
         assert calls == []
         vals = seq.values(25)
-        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(1, 26))
-        assert np.array_equal(vals, (np.arange(1, 26) - 0.5) ** 2)
+        assert len(calls) == 1 and np.array_equal(calls[0], 1.0 / np.arange(1.0, 26.0))
+        assert np.array_equal(vals, formula(np.arange(1.0, 26.0)))
+        assert np.allclose(vals, (np.arange(1, 26) - 0.5) ** 2, rtol=1e-15, atol=0.0)
+
+    def test_composed_sequence_in_v(self):
+        # A a_n + B = n^(2/3) (A q(v^3) + B v^2) at v = n^(-1/3), m = 3
+        seq = ZeroSequence(1.5, lambda v: 2.0 * airy_zero_q(v ** 3) + 0.3 * v * v, m=3)
+        want = 2.0 * airy_zeros(0).values(3000) + 0.3
+        assert np.allclose(seq.values(3000), want, rtol=4e-16, atol=0.0)
 
     def test_head_called_once_per_fill_for_its_prefix(self):
         heads = []
@@ -311,16 +353,56 @@ class TestZeroSequence:
             heads.append(count)
             return -np.arange(1.0, count + 1)
 
-        seq = ZeroSequence(1.0, lambda x: x + 0.0, n_exact=3, head=head)
+        seq = ZeroSequence(1.0, lambda v: 1.0 + 0.0 * v, n_exact=3, head=head)
         assert list(seq.values(2)) == [-1, -2]
         assert list(seq.values(6)) == [-1, -2, -3, 4, 5, 6]
         assert heads == [2, 3]
 
     def test_n_exact_needs_a_head(self):
         with pytest.raises(DomainError):
-            ZeroSequence(1.0, lambda x: x, n_exact=3)
+            ZeroSequence(1.0, lambda v: 1.0 + 0.0 * v, n_exact=3)
         with pytest.raises(DomainError):
-            ZeroSequence(1.0, lambda x: x, n_exact=-1, head=lambda c: c)
+            ZeroSequence(1.0, lambda v: 1.0 + 0.0 * v, n_exact=-1, head=lambda c: c)
+
+    def test_log_q_memo(self):
+        # one q call on the circle and one at v = N^(-1/m) (is q real?) per N; the
+        # same arrays after
+        calls = []
+
+        def q(v):
+            calls.append(np.size(v))
+            return 1.0 - 0.7 * v
+
+        seq = ZeroSequence(1.0, q, m=2)
+        log_q, real = seq.log_q(100)
+        assert real and calls == [TAIL_CIRCLE.size, 1]
+        assert seq.log_q(100)[0] is log_q and calls == [TAIL_CIRCLE.size, 1]
+        assert not log_q.flags.writeable
+        assert np.allclose(np.exp(log_q), q(0.1 * TAIL_CIRCLE), rtol=1e-15, atol=0.0)
+        assert not ZeroSequence(1.0, lambda v: 1.0 + (0.3j - 0.7) * v).log_q(100)[1]
+
+    def test_log_q_is_continuous_around_the_circle(self):
+        # q = 2 exp(-3i (v - 1)) has arg 3 (1 - cos theta) on |v| = 1, which passes pi:
+        # the principal log jumps by 2 pi i there, the tail's log is ln 2 - 3i (v - 1)
+        seq = ZeroSequence(1.0, lambda v: 2.0 * np.exp(-3j * (v - 1.0)))
+        log_q, real = seq.log_q(1)
+        assert not real
+        assert np.max(np.abs(log_q - (math.log(2.0) - 3j * (TAIL_CIRCLE - 1.0)))) < 1e-14
+
+    @pytest.mark.parametrize("s", [2.0, 3.0, 2.5 + 1.0j])
+    def test_zero_of_q_inside_the_circle(self, s):
+        # q = 1 + (a - 1) v, a = 0.5 + 5i, with no head: its zero at |v| = 0.199
+        # is inside the circles from N = 2 to 5, where ln q winds and h = q^-s
+        # is not analytic (at integer s it has a pole); the tail refuses them,
+        # and zeta_series answers from a later start
+        a = 0.5 + 5.0j
+        zeros = ZeroSequence(1.0, lambda v: 1.0 + (a - 1.0) * v)
+        for n in (2, 5):
+            with pytest.raises(AccuracyError, match="not resolved"):
+                euler_maclaurin_tail(np.exp(-s * zeros.log_q(n)[0]), n, s)
+        ref = complex(mp.zeta(s, a))
+        for n_terms in (1, 4, 9):
+            assert abs(zeta_series(zeros, s, n_terms) - ref) <= 1e-14 * abs(ref), n_terms
 
 
 class TestPcfModel:

@@ -281,8 +281,8 @@ class TestPointCommands:
         assert out == "" and err == "error: n_terms must be >= 0\n"
 
     def test_series_tail_alone(self, capsys):
-        # --nterms 0 sums nothing directly: the Euler-Maclaurin tail from n = 1,
-        # with two correction terms, is zeta(3) to about 3 %
+        # --nterms 0 asks for no direct terms: the Euler-Maclaurin tail's estimate
+        # refuses n = 1, so the direct sum grows until it accepts a later start
         code, doc, _ = run_json(capsys, "series", "--model", "riemann",
                                 "--s", "3", "--nterms", "0")
         assert code == 0

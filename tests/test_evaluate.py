@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import zetakit.catalog
-from zetakit import (ConditioningWarning, DomainError, PoleError,
+from zetakit import evaluate
+from zetakit import (AccuracyError, ConditioningWarning, DomainError, PoleError,
                      SlowConvergenceError, StripError, airy_zeros, contour_zeta,
-                     continued_zeta, hurwitz_model, riemann_model, zeta_pos_int,
-                     zeta_series)
+                     continued_zeta, euler_maclaurin_tail, hurwitz_model, riemann_model,
+                     zeta_pos_int, zeta_series)
+from zetakit.quadrature import TAIL_CIRCLE
 
 from conftest import rel_err
 
@@ -75,12 +77,38 @@ class TestZetaSeries:
         ref = complex(mp.zeta(3, -1.3))
         assert rel_err(zeta_series(hurwitz_model(-1.3).zeros, 3.0, 3), ref) < 5e-3
 
+    @pytest.mark.parametrize("name, s, n_terms", [("riemann", 3.0, 0), ("riemann", 2.5 - 1.0j, 4),
+                                                  ("hurwitz(0.5+5j)", 2.0, 5)])
+    def test_start_doubles_until_the_tail_passes(self, name, s, n_terms):
+        # where the tail from N is refused, zeta_series sums to 2N - 1 directly
+        # and tries the tail from 2N: its value is that head plus that tail
+        zeros = SEQUENCES[name]()
+        n = max(n_terms, zeros.n_exact) + 1
+        while True:
+            head = complex(np.sum(np.exp(-s * zeros.log_table(n - 1))))
+            log_q, real = zeros.log_q(n)
+            try:
+                tail = euler_maclaurin_tail(np.exp(-s * log_q), n, s, real=real and s.imag == 0)
+                break
+            except AccuracyError:
+                n *= 2
+        assert n > max(n_terms, zeros.n_exact) + 1
+        assert zeta_series(zeros, s, n_terms) == head + tail
+
+    @pytest.mark.parametrize("n_terms", [0, 5, 59])
+    def test_refined_head_always_summed(self, airy, n_terms):
+        # the tail starts past the 60 Newton-refined zeros whatever n_terms asks
+        ref = complex(3 ** mp.mpf("2/3")
+                      * (mp.gamma(mp.mpf(2) / 3) / mp.gamma(mp.mpf(1) / 3)) ** 2)
+        assert abs(zeta_series(airy.zeros, 2.0, n_terms) - ref) < 1e-12
+
 
 # fresh sequences: positive reals, integers, some negative values, complex
 # values
 SEQUENCES = {"airy": airy_zeros, "riemann": lambda: riemann_model().zeros,
              "hurwitz(-1.3)": lambda: hurwitz_model(-1.3).zeros,
-             "hurwitz(0.4+0.7j)": lambda: hurwitz_model(0.4 + 0.7j).zeros}
+             "hurwitz(0.4+0.7j)": lambda: hurwitz_model(0.4 + 0.7j).zeros,
+             "hurwitz(0.5+5j)": lambda: hurwitz_model(0.5 + 5.0j).zeros}
 
 
 class TestSeriesMemo:
@@ -105,12 +133,11 @@ class TestSeriesMemo:
     @pytest.mark.parametrize("name", ["airy", "hurwitz(0.4+0.7j)"])
     def test_work_done_once(self, monkeypatch, name):
         seq = SEQUENCES[name]()
-        arrays = collections.Counter()       # g on arrays, by length
+        arrays = collections.Counter()       # q on arrays, by length
 
-        def g(x):
-            if np.ndim(x):
-                arrays[np.size(x)] += 1
-            return seq.g(x)
+        def q(v):
+            arrays[np.size(v)] += 1
+            return seq.q(v)
 
         log_tables, build = [], zetakit.catalog.log_psi_array
 
@@ -119,20 +146,31 @@ class TestSeriesMemo:
             return build(vals, psi)
 
         monkeypatch.setattr(zetakit.catalog, "log_psi_array", count_log_tables)
-        counted = dataclasses.replace(seq, g=g)
+        counted = dataclasses.replace(seq, q=q)
         for s in np.linspace(2.0, 8.0, 40):
             zeta_series(counted, s, self.N)
         assert len(log_tables) == 1
-        assert arrays and max(arrays.values()) == 1
+        # the fill through a_(N+1), which the start guard reads, the circle and
+        # the point that tells whether q is real, each once
+        assert sorted(arrays) == [1, TAIL_CIRCLE.size, self.N + 1 - seq.n_exact]
+        assert max(arrays.values()) == 1
 
-    def test_rebuilt_when_the_node_cache_drops_its_array(self):
-        # the memo finds the tail's nodes by identity; a new array for the
-        # same N (after the cache let the old one go) rebuilds the entry
-        seq = SEQUENCES["airy"]()
-        want = [zeta_series(seq, s, self.N) for s in self.S]
-        zetakit.quadrature.tail_nodes.cache_clear()
-        assert [zeta_series(seq, s, self.N) for s in self.S] == want
-        assert seq.tail_table(self.N + 1)[0] is zetakit.quadrature.tail_nodes(self.N + 1)
+    def test_tail_reads_the_memoized_circle(self):
+        # a sequence that built its circles in another order, or for other
+        # starts, gives the same bits: its head plus the tail of the memo's ln q
+        for name in sorted(SEQUENCES):
+            want = [zeta_series(SEQUENCES[name](), s, self.N) for s in self.S]
+            used = SEQUENCES[name]()
+            for n in (self.N + 1, 7 * self.N, 2 * self.N + 1):
+                used.log_q(n)
+            assert [zeta_series(used, s, self.N) for s in self.S] == want, name
+            log_q, real = used.log_q(self.N + 1)
+            for s, got in zip(self.S, want):
+                s = complex(s)
+                head = complex(np.sum(np.exp(-s * used.log_table(self.N))))
+                tail = euler_maclaurin_tail(np.exp(-s * log_q), self.N + 1, s / used.alpha,
+                                            used.m, real=real and s.imag == 0.0)
+                assert got == head + tail, (name, s)
 
 
 class TestContourZeta:
@@ -263,6 +301,39 @@ class TestContinuedZeta:
             z0 = classify_poles(model.asym).zeta0
             near = continued_zeta(model, 1e-6)
             assert abs(near - z0) < 1e-4
+
+
+class TestZeroFreeCircle:
+    """With no known first zero (PCF, CHF), a given R is checked by the
+    argument principle; both refused circles enclose two zeros, and gave a
+    value that depends on R (4.449i for pcf(1) at R = 4 against 1.127i, and
+    -1.538i for chf(0.5, 1.5) at R = 6 against -1.024i)."""
+
+    def test_pcf_circle_with_zeros_refused(self, pcf_one):
+        with pytest.raises(DomainError, match="encloses 2 zeros"):
+            continued_zeta(pcf_one, -0.5, R=4.0)
+        with pytest.raises(DomainError, match="encloses 2 zeros"):
+            contour_zeta(pcf_one, 2.5, R=4.0)
+        assert abs(continued_zeta(pcf_one, -0.5, R=2.0)
+                   - continued_zeta(pcf_one, -0.5, R=0.9)) < 1e-9
+
+    def test_chf_circle_with_zeros_refused(self, chf_half):
+        with pytest.raises(DomainError, match="encloses 2 zeros"):
+            continued_zeta(chf_half, 0.5, R=6.0)
+        assert abs(continued_zeta(chf_half, 0.5, R=3.0)
+                   - continued_zeta(chf_half, 0.5, R=0.9)) < 1e-9
+
+    def test_count_against_the_zeros(self, pcf_one, chf_half):
+        # the first zeros of each are a conjugate pair; |z| from mpmath
+        with mp.workdps(20):
+            pcf_first = abs(complex(mp.findroot(lambda z: mp.pcfu(1, z), mp.mpc(-1.8, 3.2))))
+            chf_first = abs(complex(mp.findroot(lambda z: mp.hyp1f1(0.5, 1.5, z), mp.mpc(4, 4))))
+        assert 3.7 < pcf_first < 3.72 and 5.6 < chf_first < 5.7
+        inside = evaluate._zeros_inside
+        for model, first in ((pcf_one, pcf_first), (chf_half, chf_first)):
+            for R in (0.5, 2.0, 0.99 * first):
+                assert inside(model, R) == 0
+            assert inside(model, 1.01 * first) == 2
 
 
 def _counting(model):

@@ -9,7 +9,7 @@ from zetakit import (AsymExpansion, ShiftParams, bernoulli_poly,
                      classify_poles, gamma, omega_table, shifted_values,
                      zeta_series)
 from zetakit.asym import l_asy_eval
-from zetakit.catalog import ZeroSequence, _airy_head, airy_zero_seed, ln_gamma_continued
+from zetakit.catalog import ZeroSequence, _airy_head, airy_zero_q, ln_gamma_continued
 
 from conftest import rel_err
 
@@ -252,12 +252,16 @@ class TestNegativeBinomialRelation:
         assert abs(self._shifted_by_the_relation(airy) - direct2) < max(1e-8, 10 * tail_scale)
 
     def test_composed_zero_sequence(self, airy):
-        # A a_n + B as a sequence of its own, with its head and its g composed:
-        # the same values as A zs + B, and zeta_series sums them with a tail
+        # A a_n + B as a sequence of its own: its head composed, and past it
+        # n^(2/3) (A q(v^3) + B v^2) at v = n^(-1/3): the head's values are A zs + B
+        # bit for bit, the rest up to rounding; zeta_series sums it with a tail
+        # from any start past the head
         A, B = self.A, self.B
-        seq = ZeroSequence(1.5, g=lambda x: A * airy_zero_seed(x) + B, n_exact=60,
-                           head=lambda c: A * _airy_head(c) + B)
-        assert np.array_equal(seq.values(4000), A * airy.zeros.values(4000) + B)
+        seq = ZeroSequence(1.5, lambda v: A * airy_zero_q(v ** 3) + B * v * v, m=3,
+                           n_exact=60, head=lambda c: A * _airy_head(c) + B)
+        want = A * airy.zeros.values(4000) + B
+        assert np.array_equal(seq.values(60), want[:60])
+        assert np.allclose(seq.values(4000), want, rtol=4e-16, atol=0.0)
         want = self._shifted_by_the_relation(airy)
-        for n_terms in (1000, 4000):
+        for n_terms in (0, 60, 1000, 4000):
             assert abs(zeta_series(seq, self.S, n_terms) - want) < 1e-13
