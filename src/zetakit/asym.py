@@ -13,11 +13,12 @@ the analytically continued representation.
 import cmath
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, StripError
+from .errors import ConditioningWarning, DomainError, PoleError, StripError
 from .series import LogCoeffs, PowerSeries, log_coeffs
 
 _ZERO_THRESHOLD = 1e-14
@@ -181,12 +182,8 @@ def _laurent(asym: AsymExpansion, j: int):
     exactly, so q_0 = 0, K is kbar (kbar - 1 at 0) and c_0 is the regular
     value, free of R: x0 d_{j,0} for a lone d_{j,0}, the commonest row.
     """
-    x0 = asym.alpha - j / asym.m
-    # max_log_power, inline: every continued_zeta call reads every row
-    d, kbar = asym.d, asym.M
-    while kbar >= 0 and abs(d.get((j, kbar), 0j)) <= _ZERO_THRESHOLD:
-        kbar -= 1
-    if kbar < 0:
+    x0, d, kbar = asym.alpha - j / asym.m, asym.d, asym.max_log_power(j)
+    if kbar is None:
         return x0, [0j]
     n = round(x0)
     if abs(x0 - n) <= _INT_TOL:
@@ -270,16 +267,13 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
 
 
 def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> complex:
-    """Continued value at a nonzero integer n <= alpha (must be regular).
+    """Continued value at an integer n of the strip (must be regular).
 
-    The table gives what its row at n gives (structurally zero off the
-    grid or for an empty row); positive n also subtract n b_n, the
-    Taylor-side log-coefficient.
+    What the table's row at n gives (structurally zero off the grid, right
+    of alpha or for an empty row), minus n b_n for n >= 1, with b_n the
+    Taylor-side log-coefficient: zeta(0) is the row's value, and n > alpha
+    is the recursion -n b_n.
     """
-    if n == 0:
-        raise DomainError("use classify_poles for s = 0")
-    if n > asym.alpha:
-        raise DomainError(f"n = {n} > alpha: use the positive-integer recursion")
     if n < asym.strip_left_edge():
         raise StripError(
             f"n = {n} lies left of the proven strip edge {asym.strip_left_edge():.3f}")
@@ -289,9 +283,9 @@ def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> c
         raise PoleError(float(n), value.order, value.residue)
     if n >= 1:
         if logc is None:
-            raise DomainError("positive n <= alpha needs the Taylor log-coefficients")
+            raise DomainError("positive n needs the Taylor log-coefficients")
         if n > logc.order:
-            raise DomainError("log-coefficients truncated below n")
+            raise DomainError(f"series truncation order {logc.order} < n = {n}")
         return value - n * logc[n]
     return value
 
@@ -315,13 +309,36 @@ def ray_prefactor(s: complex, psi: float) -> complex:
     return cmath.exp(1j * s * (math.pi - psi)) * cmath.sin(math.pi * s) / math.pi
 
 
+def row_term(asym: AsymExpansion, j: int, s: complex, R: float) -> complex:
+    """Row j's term of ``l_asy_eval`` at s off its grid point x0 = alpha - j/m,
+    ray_prefactor(s) e^{i x0 psi} sum_k d_{j,k} (x0 I_k + k I_{k-1}) with I_n
+    from ``_tail_integral``: its one singularity is the row's pole, if any."""
+    x0, top = asym.location(j), asym.max_log_power(j)
+    if top is None:
+        return 0j
+    lr = complex(math.log(R), asym.psi)
+    phase = cmath.exp(1j * x0 * asym.psi)
+    mu = -s + x0
+    acc = 0.0 + 0.0j
+    for k in range(top + 1):
+        djk = asym.entry(j, k)
+        if djk == 0:
+            continue
+        acc += djk * x0 * _tail_integral(mu, k, R, lr)
+        if k >= 1:
+            acc += djk * k * _tail_integral(mu, k - 1, R, lr)
+    return ray_prefactor(s, asym.psi) * phase * acc
+
+
 def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
     """Closed-form asymptotic block of the continued representation.
 
     Evaluates the finite double sum obtained by integrating the subtracted
-    asymptotic terms along the ray from R to infinity.  At a grid location
-    the term of its row is what ``classify_poles`` reads off ``_laurent``:
-    the regular value, or a :class:`PoleError` with the order and residue.
+    asymptotic terms along the ray from R to infinity: the sum of the
+    ``row_term`` of every row.  Within 1e-12 of a grid location the
+    term of its row is what ``classify_poles`` reads off ``_laurent``: the
+    regular value, or a :class:`PoleError` with the order and residue.
+    Within 1e-3 of a pole it warns (``ConditioningWarning``).
     """
     s = complex(s)
     if R <= 0:
@@ -330,31 +347,20 @@ def l_asy_eval(asym: AsymExpansion, s: complex, R: float) -> complex:
         raise StripError(
             f"Re s = {s.real} is left of the proven strip edge "
             f"{asym.strip_left_edge():.3f}")
-    lr = complex(math.log(R), asym.psi)
-    pref = ray_prefactor(s, asym.psi)
     total = 0.0 + 0.0j
     for j in sorted({jk[0] for jk in asym.d}):
-        x0 = asym.location(j)
-        top = asym.max_log_power(j)
-        if top is None:
-            continue
-        if abs(s - x0) < 1e-12:
+        dist = abs(s - asym.location(j))
+        if dist < 1e-3:
             got = _grid_point(asym, j)
             if isinstance(got, PoleInfo):
-                raise PoleError(got.location, got.order, got.residue)
-            total += got
-            continue
-        phase = cmath.exp(1j * x0 * asym.psi)
-        mu = -s + x0
-        acc = 0.0 + 0.0j
-        for k in range(top + 1):
-            djk = asym.entry(j, k)
-            if djk == 0:
+                if dist < 1e-12:
+                    raise PoleError(got.location, got.order, got.residue)
+                warnings.warn(f"s = {s} is within {dist:.1e} of the pole at {got.location}; "
+                              "conditioning is poor", ConditioningWarning, stacklevel=2)
+            elif dist < 1e-12:
+                total += got
                 continue
-            acc += djk * x0 * _tail_integral(mu, k, R, lr)
-            if k >= 1:
-                acc += djk * k * _tail_integral(mu, k - 1, R, lr)
-        total += pref * phase * acc
+        total += row_term(asym, j, s, R)
     return total
 
 

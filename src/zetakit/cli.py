@@ -5,11 +5,12 @@ Every command accepts --json for a schema-stable document.  Every command
 but aaa and catalog accepts --check to re-derive the result along an
 independent route and report the discrepancy.  The numeric options are
 declared only where they are read, so any other use is a usage error:
---R, --tmax and --tol on values, series, contour and continue; --R (the
-radius of the residue check) on poles; --tol (the AAA tolerance) on aaa.
-An undeclared flag or a malformed number is reported with the usage line
-of its subcommand.  Direct sums take a_n^(-s) on the model's cut psi, the
-branch of the contour routes.
+--R, --tmax and --tol on values, series, contour and continue; --tol (the
+AAA tolerance) on aaa.  An undeclared flag or a malformed number is
+reported with the usage line of its subcommand.  Direct sums take
+a_n^(-s) on the model's cut psi, the branch of the contour routes.
+``poles --check`` reads each residue off the pole's own row of the table
+(``asym.row_term``) by the 16-point trapezoid rule on |s - x0| = 0.1/m.
 """
 
 import argparse
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .aaa import aaa_fit, bary_eval, derivative_at, find_real_features
-from .asym import classify_poles, l_asy_eval, zeta_int_leq_alpha
+from .asym import classify_poles, row_term, zeta_int_leq_alpha
 from .catalog import hurwitz_model, ln_gamma_continued, model_from_spec
-from .errors import DomainError, ZetakitError
+from .errors import DomainError, PoleError, ZetakitError
 from .evaluate import contour_zeta, continued_zeta, zeta_series
 from .series import log_coeffs, zeta_via_bell
 from .shift import ShiftParams, shifted_values
@@ -88,26 +89,18 @@ def _emit(args, doc, human_lines):
             print(line)
 
 
-def _value_entry(model, report, logc, n: int, check: bool, kw: dict):
-    alpha = model.asym.alpha
+def _value_entry(model, logc, n: int, check: bool, kw: dict):
     entry = {"n": n}
-    pole = report.pole_at(float(n))
-    if pole is not None:
-        entry.update(method="pole", order=pole.order,
-                     residue=_cjson(pole.residue))
+    try:
+        val = zeta_int_leq_alpha(model.asym, logc, n)
+    except PoleError as pole:
+        entry.update(method="pole", order=pole.order, residue=_cjson(pole.residue))
         return entry
-    if n > alpha:
-        if n > logc.order:
-            raise DomainError(f"series truncation order {logc.order} < n = {n}")
-        val = -n * logc[n]
+    if n > model.asym.alpha:
         method = "recursion"
-    elif n == 0:
-        val = report.zeta0
-        method = "continuation"
     else:
         j = model.asym.j_for_location(float(n))
         absent = j is None or model.asym.max_log_power(j) is None
-        val = zeta_int_leq_alpha(model.asym, logc if n >= 1 else None, n)
         method = "structural-zero" if (n < 0 and absent) else "continuation"
     entry.update(method=method, value=_cjson(val))
     form = model.closed_forms.get(n)
@@ -131,13 +124,12 @@ def _value_entry(model, report, logc, n: int, check: bool, kw: dict):
 def cmd_values(args) -> int:
     model = _build_model(args)
     kw = _ray_options(args)
-    report = classify_poles(model.asym)
     logc = log_coeffs(model.series)
     entries = []
     failures = []
     for n in args.n:
         try:
-            entries.append(_value_entry(model, report, logc, n, args.check, kw))
+            entries.append(_value_entry(model, logc, n, args.check, kw))
         except ZetakitError as exc:
             failures.append((n, str(exc)))
     lines = []
@@ -165,18 +157,13 @@ def _params_doc(model):
     return {k: _cjson(v) if isinstance(v, complex) else v for k, v in model.params.items()}
 
 
-def _residue_from_steps(asym, pole, R: float) -> complex:
-    """c_{-1} at a pole of order k, read off f(h) = h^k l_asy_eval(p + h) at
-    h = 10^(-3-i), i = 0..k, as the h^(k-1) coefficient of their degree-k
-    interpolant: Neville's recursion on coefficient lists, which at k = 1 is
-    the two-point rule (h1 f2 - h2 f1)/(h1 - h2)."""
-    hs = [10.0 ** (-3 - i) for i in range(pole.order + 1)]
-    polys = [[h ** pole.order * l_asy_eval(asym, pole.location + h, R)] for h in hs]
-    for lvl in range(1, len(hs)):
-        polys = [[(hi * b - hj * a + (a1 - b1)) / (hi - hj)
-                  for a, b, a1, b1 in zip(pa + [0j], pb + [0j], [0j] + pa, [0j] + pb)]
-                 for hi, hj, pa, pb in zip(hs, hs[lvl:], polys, polys[1:])]
-    return polys[0][pole.order - 1]
+def _residue_on_circle(asym, pole) -> complex:
+    """c_{-1} of the pole's row term, R = 1 (c_{-1} is free of R), by the 16-point
+    trapezoid rule on |s - x0| = 0.1/m at angles (i + 1/2) 2 pi/16: the term's
+    one singularity is its pole, so the rule errs by c_15 (0.1/m)^16 alone."""
+    j = asym.j_for_location(pole.location)
+    eps = 0.1 / asym.m * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    return complex(np.mean([e * row_term(asym, j, asym.location(j) + e, 1.0) for e in eps]))
 
 
 def cmd_poles(args) -> int:
@@ -186,8 +173,7 @@ def cmd_poles(args) -> int:
     for p in report.poles:
         e = {"location": p.location, "order": p.order, "residue": _cjson(p.residue)}
         if args.check:
-            e["check_discrepancy"] = abs(_residue_from_steps(model.asym, p, args.R or 1.0)
-                                         - p.residue)
+            e["check_discrepancy"] = abs(_residue_on_circle(model.asym, p) - p.residue)
         entries.append(e)
     doc = {"command": "poles", "model": model.name, "params": _params_doc(model),
            "poles": entries,
@@ -407,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_values, usage_error=p.error)
 
     p = sub.add_parser("poles", help="pole locations, orders, residues")
-    _add_common(p, "R")
+    _add_common(p)
     p.set_defaults(fn=cmd_poles, usage_error=p.error)
 
     p = sub.add_parser("shift", help="linear sequence transformation A*a_n + B")

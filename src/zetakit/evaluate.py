@@ -8,14 +8,12 @@ strip covered by the asymptotic table).
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 
-from .asym import classify_poles, l_asy_eval, ray_prefactor, ray_tail_derivative
+from .asym import l_asy_eval, ray_prefactor, ray_tail_derivative
 from .catalog import CatalogModel, ZeroSequence
-from .errors import (AccuracyError, ConditioningWarning, DomainError, PoleError,
-                     SlowConvergenceError, StripError)
+from .errors import AccuracyError, DomainError, SlowConvergenceError, StripError
 from .quadrature import euler_maclaurin_tail, quad_adaptive
 
 _DEFAULT_QUAD_TOL = 1e-11
@@ -31,8 +29,7 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     h = q^(-s), p = s/alpha; while it refuses N (its error estimate), the head
     grows to 2N - 1 terms.  The log table of the a_n and ln q on each circle
     are memoized on the sequence (see ``ZeroSequence``).  Requires
-    n_terms >= 0, Re(s) > alpha + 0.25 and Re a_N >= 1 at N = n_terms + 1;
-    else it raises before summing.
+    n_terms >= 0 and Re(s) > alpha + 0.25; else it raises before summing.
     """
     s = complex(s)
     if n_terms < 0:
@@ -42,11 +39,6 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
             f"Re s = {s.real} too close to the abscissa alpha = {zeros.alpha}; "
             "use the continued representation instead")
     count = max(n_terms, zeros.n_exact)
-    start = zeros.values(max(count, n_terms + 1))[n_terms].real
-    if not start >= 1.0:
-        raise DomainError(
-            f"the Euler-Maclaurin tail from N = {n_terms + 1} starts at Re g(N) = Re a_N = "
-            f"{start:.6g} < 1; sum more terms directly (raise n_terms)")
     while True:
         log_q, real_q = zeros.log_q(count + 1)
         head = complex(np.sum(np.exp(-s * zeros.log_table(count, psi))))
@@ -137,9 +129,11 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
     """
     tol = _DEFAULT_QUAD_TOL if quad_tol is None else float(quad_tol)
     R = _default_radius(model, R)
-    total = _circle_term(model, s, R, tol)
     split, ray = max(R, 1.0), 0.0
     pref = ray_prefactor(s, asym.psi)
+    # the closed form first where the split is known: a pole raises before any quadrature
+    closed = l_asy_eval(asym, s, split) if continued or pref == 0 else None
+    total = _circle_term(model, s, R, tol)
     if pref != 0:
         eipsi = cmath.exp(1j * asym.psi)
 
@@ -171,11 +165,13 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
         # negligible, so F'/F at T in the probe pair can differ in the last bit
         t = np.array([t_up])
         eff_tol = max(tol, 3.0 * t_up * noise_floor(t, log_deriv(t)))
-        split = split if continued else t_up
+        if not continued:
+            split = t_up
+            closed = l_asy_eval(asym, s, split)
         ray = pref * quad_adaptive(
             lambda t: integrand(t, log_deriv(t), split), R, t_up, abs_tol=eff_tol,
             initial_points=[*_geometric_points(R, t_up), split])
-    return total + l_asy_eval(asym, s, split) + ray
+    return total + closed + ray
 
 
 def contour_zeta(model: CatalogModel, s, R: float | None = None,
@@ -200,7 +196,9 @@ def continued_zeta(model: CatalogModel, s, R: float | None = None,
 
     Valid in the strip Re(s) > alpha - N/m - delta.  ``depth`` optionally
     truncates the subtraction table (the same truncation is used in the
-    closed-form block, so the identity is preserved).
+    closed-form block, so the identity is preserved).  At a pole of the
+    table ``l_asy_eval`` raises ``PoleError``, and within 1e-3 of one it
+    warns.
     """
     _require_eval(model)
     s = complex(s)
@@ -209,13 +207,4 @@ def continued_zeta(model: CatalogModel, s, R: float | None = None,
         raise StripError(
             f"Re s = {s.real} is left of the strip edge {asym.strip_left_edge():.3f}; "
             "increase the model depth")
-    report = classify_poles(asym)
-    for p in report.poles:
-        dist = abs(s - p.location)
-        if dist < 1e-12:
-            raise PoleError(p.location, p.order, p.residue)
-        if dist < 1e-3:
-            warnings.warn(
-                f"s = {s} is within {dist:.1e} of the pole at {p.location}; "
-                "conditioning is poor", ConditioningWarning, stacklevel=2)
     return _ray_representation(model, asym, s, R, t_max, quad_tol, continued=True)

@@ -8,12 +8,12 @@ integer special values.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .asym import (_ZERO_THRESHOLD, AsymExpansion, PoleInfo, PoleReport,
-                   classify_poles, residue_at, zeta_int_leq_alpha)
+from .asym import (_ZERO_THRESHOLD, AsymExpansion, PoleInfo, PoleReport, _laurent,
+                   classify_poles, zeta_int_leq_alpha)
 from .errors import DomainError
 from .series import series_mul
 
@@ -98,12 +98,13 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
                    ln_f_shifted: complex | None = None) -> ShiftedReport:
     """Pole structure and special values of zeta_{S_{A,B}} = A^(-s) zeta_Omega.
 
-    Residues are A^(-x) times those of the table of ln F(z/A), whose zeros
-    are A a_n; at a simple pole that is A^(-x) times Omega's.  zeta(0) is
-    read from the transformed table; zeta'(0) = zeta_Omega'(0) - ln A
+    The residue at a pole x of order K is A^(-x) sum_{i<K} (-ln A)^i/i!
+    c_{-1-i}, with c the Laurent coefficients of Omega's row at x
+    (``_laurent``); at a simple pole that is A^(-x) times Omega's.  zeta(0)
+    is read from the transformed table; zeta'(0) = zeta_Omega'(0) - ln A
     zeta_Omega(0), None for B != 0 without ``ln_f_shifted``; integer values
-    n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive n <= alpha
-    would need the Taylor side of F(z - B/A), which is not kept).
+    n <= 0 in ``n_values`` carry the A^(-n) prefactor (a positive n would
+    need the Taylor side of F(z - B/A), which is not kept).
     ``flags`` notes each Omega entry of modulus in (1e-14, 1e-10), where
     digits may have cancelled; smaller entries are exact zeros to every
     table reader.
@@ -114,11 +115,9 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     ln_a = cmath.log(A)
     poles = []
     flags = []
-    for p in base.poles:    # A^x times row j of ln F(z/A): ln(z/A) = ln z - ln A
-        j = om.j_for_location(p.location)
-        row = {(j, l): sum(math.comb(k, l) * (-ln_a) ** (k - l) * om.entry(j, k)
-                           for k in range(l, om.M + 1)) for l in range(om.M + 1)}
-        res = residue_at(replace(om, d=row), j)
+    for p in base.poles:    # A^(-s) = A^(-x) sum_i (-ln A)^i/i! (s - x)^i
+        c = _laurent(om, om.j_for_location(p.location))[1]
+        res = sum((-ln_a) ** i / math.factorial(i) * c[1 + i] for i in range(p.order))
         poles.append(PoleInfo(p.location, p.order, A ** complex(-p.location) * res))
     for (j, k), v in om.d.items():
         if _ZERO_THRESHOLD < abs(v) < _CANCEL_FLAG:
@@ -129,10 +128,6 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole, zeta_prime0)
     values = {}
     for n in n_values:
-        n = int(n)
-        if n == 0:
-            values[0] = base.zeta0
-            continue
-        values[n] = A ** complex(-n) * zeta_int_leq_alpha(om, None, n)
+        values[int(n)] = A ** complex(-n) * zeta_int_leq_alpha(om, None, int(n))
     return ShiftedReport(om, report, values, tuple(flags))
 

@@ -7,6 +7,10 @@ from zetakit.quadrature import quad_adaptive
 
 mp.mp.dps = 50
 
+# the specs that ``zetakit catalog`` lists
+CATALOG_SPECS = [{"model": "riemann"}, {"model": "hurwitz", "a": 0.25}, {"model": "airy"},
+                 {"model": "pcf", "a": 1.0}, {"model": "chf", "a": 0.5, "b": 1.5}]
+
 
 @pytest.fixture(scope="session")
 def riemann():

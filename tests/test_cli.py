@@ -1,11 +1,14 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
-from zetakit import AsymExpansion, cli
+from zetakit import AsymExpansion, classify_poles, cli, log_coeffs, zeta_int_leq_alpha
 from zetakit.catalog import RIEMANN_PSI
 from zetakit.cli import build_parser, main
+
+from conftest import CATALOG_SPECS
 
 
 def run(capsys, *argv):
@@ -98,6 +101,28 @@ class TestValues:
         assert code == 1
         assert "bessel" in err
 
+    @pytest.mark.parametrize("argv", [("--model", json.dumps(spec)) for spec in CATALOG_SPECS]
+                             + [("--model", "hurwitz", "--a", "0.4+0.7i")], ids=" ".join)
+    def test_every_integer_reads_the_old_rule(self, capsys, argv):
+        # zeta_int_leq_alpha now answers n = 0 and n > alpha too; the old
+        # branches were -n b_n right of alpha and classify_poles' zeta(0) at 0
+        code, doc, _ = run_json(capsys, "values", *argv, "--n=-8..12")
+        assert code == 0
+        model = cli._build_model(build_parser().parse_args(["values", *argv, "--n=0"]))
+        report, logc = classify_poles(model.asym), log_coeffs(model.series)
+        for e in doc["results"]:
+            n = e["n"]
+            if e["method"] == "pole":
+                assert report.pole_at(float(n)) is not None
+                continue
+            if n > model.asym.alpha:
+                want = -n * logc[n]
+            elif n == 0:
+                want = report.zeta0
+            else:
+                want = zeta_int_leq_alpha(model.asym, logc if n >= 1 else None, n)
+            assert complex(e["value"]["re"], e["value"]["im"]) == want, n
+
     def test_partial_failure_lists_items_on_stderr(self, capsys):
         # -25 lies outside the airy table's strip; -1 succeeds
         code, out, err = run(capsys, "values", "--model", "airy", "--n=-25..-24")
@@ -136,7 +161,18 @@ class TestPoles:
         assert pole["order"] == 2
         assert complex(pole["residue"]["re"], pole["residue"]["im"]) \
             == pytest.approx(-0.5 + 1j / math.pi, rel=1e-14)
-        assert all(p["check_discrepancy"] < 1e-6 for p in doc["poles"])
+        assert all(p["check_discrepancy"] <= 1e-13 for p in doc["poles"])
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + [{"model": "airy", "depth": 13}],
+                             ids=json.dumps)
+    def test_check_reads_every_residue_to_roundoff(self, capsys, spec):
+        # the trapezoid rule on the pole's own row; the residues of airy at
+        # depth 13 reach 1.1e7
+        code, doc, _ = run_json(capsys, "poles", "--model", json.dumps(spec), "--check")
+        assert code == 0
+        for p in doc["poles"]:
+            residue = complex(p["residue"]["re"], p["residue"]["im"])
+            assert p["check_discrepancy"] <= 1e-13 * max(1.0, abs(residue)), p
 
 
 class TestShift:
@@ -288,12 +324,14 @@ class TestPointCommands:
         assert code == 0
         assert doc["value"]["re"] == pytest.approx(1.2020569031595942, rel=0.05)
 
-    def test_series_tail_start_below_one_fails_cleanly(self, capsys):
-        code, out, err = run(capsys, "series", "--model", "hurwitz", "--a", "-1.3",
-                             "--s", "3", "--nterms", "2")
-        assert code == 1
-        assert out == "" and err.startswith("error: the Euler-Maclaurin tail from N = 3")
-        assert len(err.splitlines()) == 1
+    def test_series_tail_start_below_one(self, capsys):
+        # a_3 = 0.7 < 1: the head sums the first n_exact = 5 elements, and grows
+        # while the tail's estimate refuses its start
+        code, doc, err = run_json(capsys, "series", "--model", "hurwitz", "--a", "-1.3",
+                                  "--s", "3", "--nterms", "2")
+        assert code == 0 and err == ""
+        ref = complex(mp.zeta(3, mp.mpf("-1.3")))
+        assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - ref) <= 1e-14 * abs(ref)
 
     def test_series_check_off_integers(self, capsys):
         code, doc, _ = run_json(capsys, "series", "--model", "airy", "--s", "2.5", "--check")
@@ -357,7 +395,8 @@ class TestFlags:
         ("shift", "--model", "riemann", "--A", "2", "--B", "0.5", "--tol", "1e-6"),
         ("aaa", "--model", "airy", "--R", "5"),
         ("aaa", "--model", "airy", "--tmax", "50"),
-        ("aaa", "--model", "airy", "--check")])
+        ("aaa", "--model", "airy", "--check"),
+        ("poles", "--model", "airy", "--R", "0.5")])
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -433,3 +472,4 @@ class TestCatalog:
         assert code == 0
         names = {e["model"] for e in doc["models"]}
         assert names == {"riemann", "hurwitz", "airy", "pcf", "chf"}
+        assert [e["spec"] for e in doc["models"]] == CATALOG_SPECS

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,15 +8,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import zetakit.asym
 import zetakit.catalog
 from zetakit import evaluate
 from zetakit import (AccuracyError, ConditioningWarning, DomainError, PoleError,
-                     SlowConvergenceError, StripError, airy_zeros, contour_zeta,
-                     continued_zeta, euler_maclaurin_tail, hurwitz_model, riemann_model,
-                     zeta_pos_int, zeta_series)
+                     SlowConvergenceError, StripError, airy_zeros, classify_poles,
+                     contour_zeta, continued_zeta, euler_maclaurin_tail, hurwitz_model,
+                     model_from_spec, riemann_model, zeta_pos_int, zeta_series)
 from zetakit.quadrature import TAIL_CIRCLE
 
-from conftest import rel_err
+from conftest import CATALOG_SPECS, rel_err
 
 
 class TestZetaSeries:
@@ -67,10 +69,12 @@ class TestZetaSeries:
 
     @pytest.mark.parametrize("a, n_terms", [(-1.3, 0), (-1.3, 2), (-0.5, 1), (0.3, 0),
                                             (0.4 + 0.7j, 0)])
-    def test_tail_start_below_one_rejected(self, a, n_terms):
-        # Re g(n_terms + 1) < 1: the tail estimate was off by 1e-2 to 13x
-        with pytest.raises(DomainError, match="Re g"):
-            zeta_series(hurwitz_model(a).zeros, 3.0, n_terms)
+    def test_tail_start_below_one_against_mpmath(self, a, n_terms):
+        # Re a_N < 1 at N = n_terms + 1: the tail starts past the head of
+        # n_exact elements, and the head grows while its estimate refuses
+        ref = complex(mp.zeta(3, mp.mpmathify(a)))
+        got = zeta_series(hurwitz_model(a).zeros, 3.0, n_terms)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
     def test_tail_start_at_one_accepted(self):
         # hurwitz(-1.3) from n_terms = 3: g(4) = 1.7
@@ -150,9 +154,9 @@ class TestSeriesMemo:
         for s in np.linspace(2.0, 8.0, 40):
             zeta_series(counted, s, self.N)
         assert len(log_tables) == 1
-        # the fill through a_(N+1), which the start guard reads, the circle and
-        # the point that tells whether q is real, each once
-        assert sorted(arrays) == [1, TAIL_CIRCLE.size, self.N + 1 - seq.n_exact]
+        # the fill through a_N, the circle and the point that tells whether q
+        # is real, each once
+        assert sorted(arrays) == [1, TAIL_CIRCLE.size, self.N - seq.n_exact]
         assert max(arrays.values()) == 1
 
     def test_tail_reads_the_memoized_circle(self):
@@ -281,6 +285,14 @@ class TestContinuedZeta:
         with pytest.raises(PoleError):
             continued_zeta(airy, 1.5)
 
+    def test_contour_near_the_abscissa_warns(self, airy):
+        # the tail past T is l_asy_eval, whose row at alpha is the pole
+        with pytest.warns(ConditioningWarning, match="of the pole at 1.5"):
+            contour_zeta(airy, 1.5 + 5e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            contour_zeta(airy, 1.5 + 2e-3)
+
     def test_strip_guard(self, airy):
         with pytest.raises(StripError):
             continued_zeta(airy, -30.0)
@@ -301,6 +313,38 @@ class TestContinuedZeta:
             z0 = classify_poles(model.asym).zeta0
             near = continued_zeta(model, 1e-6)
             assert abs(near - z0) < 1e-4
+
+
+class TestPoleGuard:
+    """continued_zeta leaves the pole guard to l_asy_eval, which reads each
+    row by the rule of classify_poles."""
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS + [{"model": "airy", "depth": 13}],
+                             ids=json.dumps)
+    def test_every_pole_raises_what_classify_poles_reports(self, spec):
+        # pcf and chf have no poles
+        model = model_from_spec(spec)
+        for p in classify_poles(model.asym).poles:
+            with pytest.raises(PoleError) as exc:
+                continued_zeta(model, p.location)
+            got = exc.value
+            assert (got.location, got.order, got.residue) == (p.location, p.order, p.residue)
+
+    def test_values_without_classify_poles(self, monkeypatch, riemann, airy):
+        # the values before the guard moved into l_asy_eval, to the bit
+        want = {-0.5: -0.13941929787927662 - 1.1764200724684315e-13j,
+                -2.5: 0.008516928777924853 - 2.4102247975221758e-14j}
+        before = continued_zeta(airy, -0.5), continued_zeta(riemann, -2.5)
+
+        def refuse(asym):
+            raise AssertionError("continued_zeta called classify_poles")
+
+        monkeypatch.setattr(zetakit.asym, "classify_poles", refuse)
+        monkeypatch.setattr(evaluate, "classify_poles", refuse, raising=False)
+        after = continued_zeta(airy, -0.5), continued_zeta(riemann, -2.5)
+        assert after == before
+        for s, got in zip((-0.5, -2.5), after):
+            assert rel_err(got, want[s]) <= 1e-15
 
 
 class TestZeroFreeCircle:

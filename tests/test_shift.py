@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from zetakit import (AsymExpansion, ShiftParams, bernoulli_poly,
-                     classify_poles, gamma, omega_table, shifted_values,
-                     zeta_series)
+                     classify_poles, gamma, model_from_spec, omega_table, residue_at,
+                     shifted_values, zeta_series)
 from zetakit.asym import l_asy_eval
 from zetakit.catalog import ZeroSequence, _airy_head, airy_zero_q, ln_gamma_continued
 
@@ -174,6 +175,23 @@ class TestShiftedValues:
             rep = shifted_values(model.asym, ShiftParams(2.0, 0.0))
             for p, q in zip(base.poles, rep.report.poles):
                 assert q.residue == 2.0 ** complex(-p.location) * p.residue
+
+    @pytest.mark.parametrize("spec, A", [({"model": "airy"}, 0.75 + 0.5j),
+                                         ({"model": "hurwitz", "a": 0.3}, 2.0 - 1.0j)])
+    @pytest.mark.parametrize("B", [0.0, 0.3])
+    def test_residues_equal_the_rebuilt_row_route(self, spec, A, B):
+        # the route before the residues read _laurent: rewrite row j of Omega
+        # for ln(z/A) = ln z - ln A, take its residue_at, scale by A^(-x)
+        asym, shift = model_from_spec(spec).asym, ShiftParams(A, B)
+        om, ln_a = omega_table(asym, shift), cmath.log(A)
+        poles = shifted_values(asym, shift).report.poles
+        assert poles
+        for p in poles:
+            j = om.j_for_location(p.location)
+            row = {(j, l): sum(math.comb(k, l) * (-ln_a) ** (k - l) * om.entry(j, k)
+                               for k in range(l, om.M + 1)) for l in range(om.M + 1)}
+            want = A ** complex(-p.location) * residue_at(dataclasses.replace(om, d=row), j)
+            assert p.residue == want, p
 
     def test_zeta_prime0_needs_the_boundary_value(self, riemann):
         # B != 0 moves ln F(0) to ln F(-B/A): without it there is no zeta'(0);
