@@ -18,31 +18,28 @@ from .catalog import (CatalogModel, ZeroSequence, airy_model, airy_zeros,
                       chf_model, hurwitz_model, model_from_spec, pcf_model,
                       riemann_model)
 from .errors import (AccuracyError, ConditioningWarning, DivergenceError,
-                     DomainError, NeedsContinuationError, PoleError,
-                     RefinementError, SlowConvergenceError, StripError,
-                     UnsupportedOrderError, ZetakitError)
+                     DomainError, PoleError, RefinementError,
+                     SlowConvergenceError, StripError, UnsupportedOrderError,
+                     ZetakitError)
 from .evaluate import contour_zeta, continued_zeta, zeta_series
 from .kernels import (EULER_GAMMA, bernoulli_number, bernoulli_poly,
                       digamma_polygamma, gamma, log_psi)
 from .quadrature import euler_maclaurin_tail, quad_adaptive
-from .series import (LogCoeffs, PowerSeries, exact_sum_rule, hadamardize,
-                     log_coeffs, zeta_pos_int, zeta_via_bell)
+from .series import (PowerSeries, exact_sum_rule, hadamardize, log_coeffs,
+                     zeta_via_bell)
 from .shift import ShiftParams, omega_table, shifted_values
 
 __all__ = [
-    "AsymExpansion", "BarycentricModel", "CatalogModel", "LogCoeffs",
-    "PoleInfo", "PoleReport", "PowerSeries", "ShiftParams", "ZeroSequence",
-    "aaa_fit", "airy_model", "airy_zeros", "bary_eval", "bernoulli_number",
-    "bernoulli_poly", "chf_model", "classify_poles", "contour_zeta",
-    "continued_zeta", "derivative_at", "digamma_polygamma",
-    "euler_maclaurin_tail", "exact_sum_rule", "find_real_features", "gamma",
-    "hadamardize", "hurwitz_model", "l_asy_eval", "log_coeffs",
-    "log_compose", "log_psi", "model_from_spec", "omega_table", "pcf_model",
-    "quad_adaptive", "residue_at", "riemann_model", "shifted_values",
-    "zeta_int_leq_alpha", "zeta_pos_int", "zeta_prime_zero", "zeta_series",
-    "zeta_via_bell", "EULER_GAMMA",
-    "ZetakitError", "DomainError", "UnsupportedOrderError", "PoleError",
-    "NeedsContinuationError", "StripError", "AccuracyError",
-    "SlowConvergenceError", "DivergenceError", "RefinementError",
-    "ConditioningWarning",
+    "AsymExpansion", "BarycentricModel", "CatalogModel", "PoleInfo", "PoleReport",
+    "PowerSeries", "ShiftParams", "ZeroSequence", "aaa_fit", "airy_model",
+    "airy_zeros", "bary_eval", "bernoulli_number", "bernoulli_poly", "chf_model",
+    "classify_poles", "contour_zeta", "continued_zeta", "derivative_at",
+    "digamma_polygamma", "euler_maclaurin_tail", "exact_sum_rule",
+    "find_real_features", "gamma", "hadamardize", "hurwitz_model", "l_asy_eval",
+    "log_coeffs", "log_compose", "log_psi", "model_from_spec", "omega_table",
+    "pcf_model", "quad_adaptive", "residue_at", "riemann_model", "shifted_values",
+    "zeta_int_leq_alpha", "zeta_prime_zero", "zeta_series", "zeta_via_bell",
+    "EULER_GAMMA", "ZetakitError", "DomainError", "UnsupportedOrderError",
+    "PoleError", "StripError", "AccuracyError", "SlowConvergenceError",
+    "DivergenceError", "RefinementError", "ConditioningWarning",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, DomainError, PoleError, StripError
-from .series import LogCoeffs, PowerSeries, log_coeffs
+from .series import PowerSeries, log_coeffs
 
 _ZERO_THRESHOLD = 1e-14
 _INT_TOL = 1e-9
@@ -159,7 +159,7 @@ def log_compose(raw) -> np.ndarray:
     """
     # b_j depends on c_0..c_j only, so a padding coefficient (dropped again)
     # keeps an empty table a valid series without changing any slot
-    return log_coeffs(PowerSeries([1.0, *raw, 0.0])).b[:-1]
+    return log_coeffs(PowerSeries([1.0, *raw, 0.0]))[:-1]
 
 
 def _laurent(asym: AsymExpansion, j: int):
@@ -266,13 +266,14 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
             - asym.ln_f0.real)
 
 
-def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> complex:
+def zeta_int_leq_alpha(asym: AsymExpansion, b: np.ndarray | None, n: int) -> complex:
     """Continued value at an integer n of the strip (must be regular).
 
     What the table's row at n gives (structurally zero off the grid, right
-    of alpha or for an empty row), minus n b_n for n >= 1, with b_n the
-    Taylor-side log-coefficient: zeta(0) is the row's value, and n > alpha
-    is the recursion -n b_n.
+    of alpha or for an empty row), minus n b_n for n >= 1, with b the
+    Taylor-side log-coefficients (``log_coeffs``): zeta(0) is the row's
+    value, and wherever the row is empty (every n > alpha) the value is the
+    recursion -n b_n.
     """
     if n < asym.strip_left_edge():
         raise StripError(
@@ -282,11 +283,11 @@ def zeta_int_leq_alpha(asym: AsymExpansion, logc: LogCoeffs | None, n: int) -> c
     if isinstance(value, PoleInfo):
         raise PoleError(float(n), value.order, value.residue)
     if n >= 1:
-        if logc is None:
+        if b is None:
             raise DomainError("positive n needs the Taylor log-coefficients")
-        if n > logc.order:
-            raise DomainError(f"series truncation order {logc.order} < n = {n}")
-        return value - n * logc[n]
+        if n >= len(b):
+            raise DomainError(f"series truncation order {len(b) - 1} < n = {n}")
+        return value - n * complex(b[n])
     return value
 
 

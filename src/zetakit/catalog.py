@@ -41,6 +41,8 @@ class ZeroSequence:
     the Euler-Maclaurin tail needs nothing else of the sequence.  A q that
     maps a real array to a real array is taken to be real on the real axis.
     ``head(count)`` returns the first count <= n_exact elements as an array.
+    ``psi`` is the cut of ln a_n, the ray of the model the sequence belongs
+    to, so a direct sum takes a_n^(-s) on the branch of the contour routes.
 
     Each sequence memoizes what a direct sum needs that does not depend on
     s: the values and their logarithms (``log_table``), kept for every
@@ -53,6 +55,7 @@ class ZeroSequence:
     m: int = 1
     n_exact: int = 0
     head: object = None
+    psi: float = math.pi
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -78,18 +81,15 @@ class ZeroSequence:
         """a_1 .. a_count: a read-only view into the memo."""
         return self._fill(count)["vals"][:count]
 
-    def log_table(self, count: int, psi: float = math.pi) -> np.ndarray:
-        """ln a_n for n <= count with the cut at psi, as a complex array.
-
-        One ``log_psi_array`` table per psi, built once per fill over the
-        whole memo and sliced per call.
-        """
+    def log_table(self, count: int) -> np.ndarray:
+        """ln a_n for n <= count with the cut at ``psi``, as a complex array:
+        one ``log_psi_array`` table, built once per fill over the whole memo
+        and sliced per call."""
         memo = self._fill(count)
-        key = ("ln", float(psi))
-        if key not in memo:
-            memo[key] = log_psi_array(memo["vals"], psi)
-            memo[key].flags.writeable = False
-        return memo[key][:count]
+        if "ln" not in memo:
+            memo["ln"] = log_psi_array(memo["vals"], self.psi)
+            memo["ln"].flags.writeable = False
+        return memo["ln"][:count]
 
     def log_q(self, n_start: int) -> tuple:
         """(ln q on N^(-1/m) ``TAIL_CIRCLE``, whether q is real), memoized per
@@ -298,7 +298,8 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     # the head is n - 1 + a, correctly rounded, up to n = 2|a - 1|, where
     # n (1 + (a - 1)/n) would cancel; past it the fill is within a few ulps
     zeros = ZeroSequence(1.0, lambda v: 1.0 + (a_q - 1.0) * v, 1,
-                         math.ceil(2.0 * abs(a - 1.0)), lambda c: np.arange(c) + a_q)
+                         math.ceil(2.0 * abs(a - 1.0)), lambda c: np.arange(c) + a_q,
+                         RIEMANN_PSI)
     notes = ()
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )
@@ -416,7 +417,7 @@ def _airy_head(count: int) -> np.ndarray:
 
 def airy_zeros(n_exact: int = 60) -> ZeroSequence:
     """Negated Airy zeros: the first ``n_exact`` Newton-refined, the rest by formula."""
-    return ZeroSequence(1.5, airy_zero_q, 1, n_exact, _airy_head)
+    return ZeroSequence(1.5, airy_zero_q, 1, n_exact, _airy_head, AIRY_PSI)
 
 
 def airy_model(depth: int = 8, order: int = 30, n_exact: int = 60) -> CatalogModel:
@@ -470,9 +471,9 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     The zeros are complex-conjugate pairs; no zero generator is provided and
     the model supports coefficient-side values only.  Pointwise evaluation
     uses the Taylor series for |z| <= 3, the Laplace integral by one fixed
-    Gauss-Jacobi rule for 3 < |z| < 12 (1e-12 or better for |arg z| <= 1.6;
-    cancellation grows past that), and the large-argument expansion beyond
-    (|arg z| < 2.3).
+    Gauss-Jacobi rule for 3 < |z| < 12 (1e-12 or better; past |arg z| = 1.6
+    it cancels digits once |z| > 5, so there it raises DomainError), and the
+    large-argument expansion beyond (|arg z| < 2.3).
     """
     a = float(a)
     if a <= -0.5:
@@ -499,6 +500,8 @@ def pcf_model(a: float, depth: int = 6, order: int = 30) -> CatalogModel:
     def laplace(z):
         # U = e^{-z^2/4}/Gamma(a+1/2) * I_0,  I_p = int_0^T t^{a-1/2+p} e^{-t^2/2-zt} dt,
         # T past the e^-40 point of the integrand; one rule on [0, 1] scaled by T
+        if np.any((np.abs(np.angle(z)) > 1.6) & (np.abs(z) > 5.0)):
+            raise DomainError("pcf evaluator domain is |arg z| <= 1.6 for 5 < |z| < 12")
         y, wts = gauss_jacobi(80, beta)
         big_t = np.sqrt(z.real * z.real + 80.0) - z.real
         t = big_t[:, None] * y

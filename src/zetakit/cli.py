@@ -8,7 +8,8 @@ declared only where they are read, so any other use is a usage error:
 --R, --tmax and --tol on values, series, contour and continue; --tol (the
 AAA tolerance) on aaa.  An undeclared flag or a malformed number is
 reported with the usage line of its subcommand.  Direct sums take
-a_n^(-s) on the model's cut psi, the branch of the contour routes.
+a_n^(-s) on the cut the sequence carries, its model's ray psi, the branch
+of the contour routes.
 ``poles --check`` reads each residue off the pole's own row of the table
 (``asym.row_term``) by the 16-point trapezoid rule on |s - x0| = 0.1/m.
 """
@@ -284,7 +285,7 @@ def _point_command(args, which: str) -> int:
     s = args.s
     kw = _ray_options(args)
     if which == "series":
-        val = zeta_series(model.zeros, s, args.nterms, psi=model.asym.psi)
+        val = zeta_series(model.zeros, s, args.nterms)
     elif which == "contour":
         val = contour_zeta(model, s, **kw)
     else:
@@ -298,7 +299,7 @@ def _point_command(args, which: str) -> int:
         elif which == "contour":
             other = continued_zeta(model, s, **kw)
         else:
-            other = (zeta_series(model.zeros, s, 4000, psi=model.asym.psi)
+            other = (zeta_series(model.zeros, s, 4000)
                      if (model.zeros is not None and s.real > model.alpha + 0.25)
                      else contour_zeta(model, s, **kw)
                      if s.real > model.alpha else None)
@@ -314,8 +315,7 @@ def cmd_aaa(args) -> int:
     _require_zeros(model, "sampling")
     lo, hi = 2.0, 8.0
     pts = np.linspace(lo, hi, args.npoints)
-    samples = np.array([zeta_series(model.zeros, s, args.nterms, psi=model.asym.psi)
-                        for s in pts])
+    samples = np.array([zeta_series(model.zeros, s, args.nterms) for s in pts])
     fit = aaa_fit(pts, samples, rel_tol=(args.tol or 1e-13))
     zeros, poles = find_real_features(fit, (-3.0, 0.0))
     v1 = bary_eval(fit, 1.0)

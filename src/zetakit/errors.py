@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class but the base is raised (or, for the warning, warned) by some
+other module of the package; ``tests/test_error_classes.py`` checks this.
+"""
 
 
 class ZetakitError(Exception):
@@ -11,14 +15,6 @@ class DomainError(ZetakitError, ValueError):
 
 class UnsupportedOrderError(DomainError):
     """Order parameter beyond what double precision supports."""
-
-
-class NeedsContinuationError(DomainError):
-    """Requested value lies at or left of the convergence exponent.
-
-    The Taylor-side recursion alone does not determine it; the value needs
-    the large-argument continuation (or an explicit ``allow_extended``).
-    """
 
 
 class StripError(DomainError):

@@ -3,7 +3,8 @@
 Three independent routes: direct series summation with an Euler-Maclaurin
 tail, quadrature of the deformed contour representation (valid right of the
 convergence exponent), and the fully continued representation (valid in the
-strip covered by the asymptotic table).
+strip covered by the asymptotic table).  All three take a_n^(-s) on one
+branch, the cut psi of the model's ray, which a catalog sequence carries.
 """
 
 import cmath
@@ -20,16 +21,17 @@ _DEFAULT_QUAD_TOL = 1e-11
 _MAX_HEAD = 100_000     # the most terms zeta_series adds to its head for the tail
 
 
-def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> complex:
+def zeta_series(zeros: ZeroSequence, s, n_terms: int) -> complex:
     """Direct summation of a_n^(-s) plus an Euler-Maclaurin tail estimate.
 
     The head, n <= max(n_terms, n_exact) so every refined element is summed
-    directly, is one pairwise ``np.sum`` with the power cut at psi (default:
-    principal).  The tail from N past it is ``euler_maclaurin_tail`` of
-    h = q^(-s), p = s/alpha; while it refuses N (its error estimate), the head
-    grows to 2N - 1 terms.  The log table of the a_n and ln q on each circle
-    are memoized on the sequence (see ``ZeroSequence``).  Requires
-    n_terms >= 0 and Re(s) > alpha + 0.25; else it raises before summing.
+    directly, is one pairwise ``np.sum`` with the power cut at the sequence's
+    ``psi``, the branch of its model's contour routes.  The tail from N past
+    it is ``euler_maclaurin_tail`` of h = q^(-s), p = s/alpha; while it
+    refuses N (its error estimate), the head grows to 2N - 1 terms.  The log
+    table of the a_n and ln q on each circle are memoized on the sequence
+    (see ``ZeroSequence``).  Requires n_terms >= 0 and Re(s) > alpha + 0.25;
+    else it raises before summing.
     """
     s = complex(s)
     if n_terms < 0:
@@ -41,7 +43,7 @@ def zeta_series(zeros: ZeroSequence, s, n_terms: int, psi: float = math.pi) -> c
     count = max(n_terms, zeros.n_exact)
     while True:
         log_q, real_q = zeros.log_q(count + 1)
-        head = complex(np.sum(np.exp(-s * zeros.log_table(count, psi))))
+        head = complex(np.sum(np.exp(-s * zeros.log_table(count))))
         try:
             return head + euler_maclaurin_tail(
                 np.exp(-s * log_q), count + 1, s / zeros.alpha, zeros.m,
@@ -83,12 +85,14 @@ def _require_eval(model: CatalogModel):
 def _zeros_inside(model: CatalogModel, R: float) -> int:
     """The number of zeros of F inside |z| = R by the argument principle: the
     mean of z F'/F over k equispaced points, k doubling from 64 until it is
-    within 1e-3 of an integer.  DomainError when 4096 points do not get
-    there: a zero lies close to the circle, or F'/F is not accurate on it."""
+    finite, below k in modulus and within 1e-3 of an integer.  DomainError
+    when 4096 points do not get there: a zero or a pole lies on or close to
+    the circle, or F'/F is not accurate on it."""
     for k in 64 * 2 ** np.arange(7):
         z = R * np.exp(2j * math.pi * np.arange(k) / k)
-        count = complex(np.mean(z * model.log_deriv(z)))
-        if abs(count - round(count.real)) <= 1e-3:
+        with np.errstate(divide="ignore", invalid="ignore"):    # a sample on a pole
+            count = complex(np.mean(z * model.log_deriv(z)))
+        if abs(count) < k and abs(count - round(count.real)) <= 1e-3:
             return round(count.real)
     raise DomainError(f"the zero count inside |z| = {R} did not settle at 4096 points; "
                       "choose another R")

@@ -1,9 +1,10 @@
 """Truncated power-series engine for characteristic functions.
 
 Everything derived from the Taylor coefficients of a characteristic function
-about the origin: log-coefficients, zeta values at positive integers (by
-recursion and by Bell polynomials), exact sum rules, and reduction to the
-Hadamard-normalized form.
+about the origin: log-coefficients b_n, zeta values at positive integers by
+Bell polynomials, exact sum rules, and reduction to the Hadamard-normalized
+form.  The value at an integer itself, -n b_n plus what the large-argument
+table's row at n gives, is ``asym.zeta_int_leq_alpha``.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NeedsContinuationError, UnsupportedOrderError
+from .errors import DomainError, UnsupportedOrderError
 
 
 @dataclass(frozen=True)
@@ -36,25 +37,8 @@ class PowerSeries:
         return PowerSeries(self.coeffs * factor)
 
 
-@dataclass(frozen=True)
-class LogCoeffs:
-    """Taylor coefficients b_1..b_N of ln(F(z)/c0); b[0] is unused (zero)."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
-
-    @property
-    def order(self) -> int:
-        return len(self.b) - 1
-
-    def __getitem__(self, j: int) -> complex:
-        return complex(self.b[j])
-
-
-def log_coeffs(series: PowerSeries) -> LogCoeffs:
-    """Log-derivative recursion: coefficients of ln(F(z)/c0).
+def log_coeffs(series: PowerSeries) -> np.ndarray:
+    """Log-derivative recursion: coefficients b_0..b_N of ln(F(z)/c0), b_0 = 0.
 
     b_1 = c_1/c_0 and
     b_j = c_j/c_0 - sum_{l<j} (l/j) (c_{j-l}/c_0) b_l.
@@ -67,7 +51,7 @@ def log_coeffs(series: PowerSeries) -> LogCoeffs:
         for ell in range(1, j):
             acc -= (ell / j) * c[j - ell] * b[ell]
         b[j] = acc
-    return LogCoeffs(b)
+    return b
 
 
 def series_exp(b: np.ndarray) -> np.ndarray:
@@ -91,27 +75,6 @@ def series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
         jmax = min(len(b), order + 1 - i)
         out[i:i + jmax] += a[i] * b[:jmax]
     return out
-
-
-def zeta_pos_int(series: PowerSeries, n: int, alpha: float,
-                 allow_extended: bool = False) -> complex:
-    """zeta_S(n) = -n b_n for integer n > alpha.
-
-    For n <= alpha the recursion value is only the circle-term contribution
-    and in general needs the continuation correction; pass ``allow_extended``
-    for sequences known to be in the extended regime (e.g. the Airy zeros).
-    """
-    if n < 1:
-        raise DomainError("zeta_pos_int expects n >= 1")
-    if n > series.order:
-        raise DomainError(f"series truncation order {series.order} < n = {n}")
-    if n <= alpha and not allow_extended:
-        raise NeedsContinuationError(
-            f"n = {n} <= alpha = {alpha}: the recursion value -n*b_n omits the "
-            "asymptotic-side correction; use the continuation engine or pass "
-            "allow_extended=True when the extended regime applies")
-    b = log_coeffs(series)
-    return -n * b[n]
 
 
 def zeta_via_bell(series: PowerSeries, n: int) -> complex:
@@ -177,7 +140,7 @@ def hadamardize(series: PowerSeries, alpha: float) -> PowerSeries:
     if k < 1:
         return PowerSeries(norm)
     n = series.order
-    b = log_coeffs(series).b
+    b = log_coeffs(series)
     neg = np.zeros(n + 1, dtype=complex)
     neg[1:k + 1] = -b[1:k + 1]
     expo = series_exp(neg)

@@ -15,7 +15,7 @@ from zetakit import (PowerSeries, ShiftParams, aaa_fit, airy_zeros, bary_eval,
                      derivative_at, exact_sum_rule, find_real_features, gamma,
                      hadamardize, log_coeffs, omega_table, pcf_model,
                      residue_at, shifted_values,
-                     zeta_int_leq_alpha, zeta_pos_int, zeta_prime_zero,
+                     zeta_int_leq_alpha, zeta_prime_zero,
                      zeta_series, zeta_via_bell)
 from zetakit.catalog import ln_gamma_continued
 
@@ -49,12 +49,13 @@ class Checker:
 
 def test_criterion_1_riemann_recursion(riemann):
     c = Checker("1 riemann recursion")
-    c.check("zeta_R(2)", zeta_pos_int(riemann.series, 2, 1.0),
+    b = log_coeffs(riemann.series)
+    c.check("zeta_R(2)", zeta_int_leq_alpha(riemann.asym, b, 2),
             math.pi ** 2 / 6.0, 1e-12)
     for n in range(1, 7):
         ref = abs(bernoulli_number(2 * n)) * (2 * math.pi) ** (2 * n) \
             / (2.0 * math.factorial(2 * n))
-        c.check(f"zeta_R({2 * n})", zeta_pos_int(riemann.series, 2 * n, 1.0),
+        c.check(f"zeta_R({2 * n})", zeta_int_leq_alpha(riemann.asym, b, 2 * n),
                 ref, 1e-10)
     c.finish()
 
@@ -122,16 +123,12 @@ def test_criterion_4_airy_exact_values(airy):
     b = log_coeffs(airy.series)
     c.check("zeta_Ai(1)", zeta_int_leq_alpha(airy.asym, b, 1), closed[1], 1e-11)
     for n in range(2, 6):
-        c.check(f"zeta_Ai({n})",
-                zeta_pos_int(airy.series, n, airy.alpha, allow_extended=True),
-                closed[n], 1e-11)
+        c.check(f"zeta_Ai({n})", zeta_int_leq_alpha(airy.asym, b, n), closed[n], 1e-11)
     # derivative-function zeros: coefficients (m+1) c_{m+1}
     cprime = airy.series.coeffs[1:] * np.arange(1, airy.series.order + 1)
-    dser = PowerSeries(cprime)
-    c.check("zeta_Ai'(2)", zeta_pos_int(dser, 2, 1.5, allow_extended=True),
-            g(1.0 / 3.0) / (3 ** (1 / 3) * g(2.0 / 3.0)), 1e-11)
-    c.check("zeta_Ai'(3)", zeta_pos_int(dser, 3, 1.5, allow_extended=True),
-            1.0, 1e-11)
+    db = log_coeffs(PowerSeries(cprime))     # no table: the recursion -n b_n
+    c.check("zeta_Ai'(2)", -2 * db[2], g(1.0 / 3.0) / (3 ** (1 / 3) * g(2.0 / 3.0)), 1e-11)
+    c.check("zeta_Ai'(3)", -3 * db[3], 1.0, 1e-11)
     rep = classify_poles(airy.asym)
     c.check("zeta_Ai(0)", rep.zeta0, -0.25, 1e-14)
     c.check("zeta_Ai'(0)", zeta_prime_zero(airy.asym),
@@ -168,7 +165,7 @@ def test_criterion_5_parabolic_cylinder():
                 + (math.sqrt(2) / 24.0) * (16 * a * a - 1) * r),
         }
         for n in (3, 4, 5):
-            c.check(f"zeta_U({n}) a={a}", zeta_pos_int(m.series, n, 2.0),
+            c.check(f"zeta_U({n}) a={a}", zeta_int_leq_alpha(m.asym, b, n),
                     closed[n], 1e-10)
         h_printed = {
             1: -(2 * a + 1) * (2 * a + 3) / 8.0,
@@ -207,13 +204,13 @@ def test_criterion_6_confluent_hypergeometric():
                    + b ** 2 * (b + 1))
                 / (b ** 5 * (b + 1) ** 2 * (b + 2) * (b + 3) * (b + 4))),
         }
+        logc = log_coeffs(m.series)
         for n in (2, 3, 4, 5):
-            c.check(f"zeta_M({n}) ({a},{b})", zeta_pos_int(m.series, n, 1.0),
+            c.check(f"zeta_M({n}) ({a},{b})", zeta_int_leq_alpha(m.asym, logc, n),
                     closed[n], 1e-10)
         rep = classify_poles(m.asym)
         c.check(f"zeta_M(0) ({a},{b})", rep.zeta0, a - b, 1e-12)
-        c.check(f"zeta_M(1) ({a},{b})",
-                zeta_int_leq_alpha(m.asym, log_coeffs(m.series), 1),
+        c.check(f"zeta_M(1) ({a},{b})", zeta_int_leq_alpha(m.asym, logc, 1),
                 1.0 - a / b, 1e-12)
         f_printed = {
             1: (a - 1) * (a - b),
@@ -284,15 +281,19 @@ def test_criterion_8_aaa_pipeline(airy):
 
 def test_criterion_9_cross_method_invariants(riemann, airy, pcf_one, chf_half):
     c = Checker("9 cross-method invariants")
+
+    def recursion(series, n):       # -n b_n, at pole rows such as riemann n = 1 too
+        return -n * log_coeffs(series)[n]
+
     for model in (riemann, airy, pcf_one, chf_half):
         for n in range(1, 13):
             bell = zeta_via_bell(model.series, n)
-            rec = zeta_pos_int(model.series, n, model.alpha, allow_extended=True)
+            rec = recursion(model.series, n)
             c.require(f"{model.name} bell == recursion n={n}",
                       abs(bell - rec) <= 1e-9 * max(1.0, abs(rec)))
     zv = {1: zeta_int_leq_alpha(airy.asym, log_coeffs(airy.series), 1)}
     for n in range(2, 7):
-        direct = zeta_pos_int(airy.series, n, airy.alpha, allow_extended=True)
+        direct = recursion(airy.series, n)
         rule = exact_sum_rule(airy.series, n, zv)
         c.check(f"sum rule zeta_Ai({n})", rule, direct, 1e-9)
         zv[n] = direct
@@ -300,8 +301,7 @@ def test_criterion_9_cross_method_invariants(riemann, airy, pcf_one, chf_half):
         h = hadamardize(model.series, model.alpha)
         lo = int(math.floor(model.alpha)) + 1
         for n in range(lo, 13):
-            before = zeta_pos_int(model.series, n, model.alpha, allow_extended=True)
-            after = zeta_pos_int(h, n, model.alpha, allow_extended=True)
+            before, after = recursion(model.series, n), recursion(h, n)
             c.require(f"{model.name} hadamardize keeps zeta({n})",
                       abs(before - after) <= 1e-10 * max(1.0, abs(before)))
         ident = omega_table(model.asym, ShiftParams(1.0, 0.0))

@@ -9,7 +9,7 @@ import zetakit
 from zetakit import (AccuracyError, DomainError, EULER_GAMMA, airy_model, airy_zeros,
                      chf_model, euler_maclaurin_tail, hurwitz_model, log_coeffs,
                      model_from_spec, pcf_model, riemann_model, zeta_int_leq_alpha,
-                     zeta_pos_int, zeta_series)
+                     zeta_series)
 from zetakit.catalog import ZeroSequence, _airy_head, airy_eval, airy_zero_q
 from zetakit.quadrature import TAIL_CIRCLE
 from zetakit.shift import ShiftParams, omega_table
@@ -111,7 +111,7 @@ class TestHurwitzModel:
         for a in (0.25, 2.0):
             hm = hurwitz_model(a)
             for n in (2, 3, 6):
-                got = zeta_pos_int(hm.series, n, 1.0)
+                got = zeta_int_leq_alpha(hm.asym, log_coeffs(hm.series), n)
                 assert rel_err(got, complex(mp.zeta(n, a))) < 1e-12
 
     def test_excluded_parameters(self):
@@ -471,11 +471,25 @@ class TestPcfModel:
         with pytest.raises(DomainError):
             pcf_model(-0.5)
 
+    @pytest.mark.parametrize("r", [6.0, 8.0, 11.9])
+    @pytest.mark.parametrize("arg", [2.36, -2.36])
+    def test_laplace_branch_refuses_off_axis(self, pcf_one, r, arg):
+        # past |arg z| = 1.6 the Laplace rule cancels digits: F'/F was off by
+        # 8e-12 at |z| = 6, 7e-9 at 8 and 2.0 at 11.9 against mpmath
+        with pytest.raises(DomainError, match="1.6"):
+            pcf_one.log_deriv(r * cmath.exp(1j * arg))
+        with pytest.raises(DomainError, match="1.6"):
+            pcf_one.eval(r * cmath.exp(1j * arg))
+        # inside |z| = 5, and up to |arg z| = 1.6 beyond it, the branch answers
+        for z in (5.0 * cmath.exp(1j * arg), r * cmath.exp(1.6j * math.copysign(1.0, arg))):
+            ref = complex(mp.diff(lambda w: mp.pcfu(1, w), z) / mp.pcfu(1, z))
+            assert rel_err(complex(pcf_one.log_deriv(z)), ref) < 1e-12
+
 
 class TestChfModel:
     def test_values(self, chf_half):
         a, b = 0.5, 1.5
-        got = zeta_pos_int(chf_half.series, 2, 1.0)
+        got = zeta_int_leq_alpha(chf_half.asym, log_coeffs(chf_half.series), 2)
         assert rel_err(got, a * (a - b) / (b * b * (b + 1))) < 1e-14
         got1 = zeta_int_leq_alpha(chf_half.asym, log_coeffs(chf_half.series), 1)
         assert rel_err(got1, 1 - a / b) < 1e-14
@@ -601,7 +615,8 @@ class TestModelFromSpec:
                 "asym": json.loads(riemann.asym.to_json())}
         m = model_from_spec(spec)
         assert m.name == "user"
-        assert zeta_pos_int(m.series, 2, 1.0) == pytest.approx(math.pi ** 2 / 6)
+        got = zeta_int_leq_alpha(m.asym, log_coeffs(m.series), 2)
+        assert got == pytest.approx(math.pi ** 2 / 6)
         assert m.eval is None and m.zeros is None
 
     def test_unknown_rejected(self):

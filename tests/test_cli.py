@@ -352,9 +352,9 @@ class TestPointCommands:
         seen = []
         real = cli.zeta_series
 
-        def spy(zeros, s, n_terms, psi=math.pi):
-            seen.append(psi)
-            return real(zeros, s, n_terms, psi)
+        def spy(zeros, s, n_terms):
+            seen.append(zeros.psi)
+            return real(zeros, s, n_terms)
 
         monkeypatch.setattr(cli, "zeta_series", spy)
         hurwitz = ("--model", "hurwitz", "--a", "-1.3")

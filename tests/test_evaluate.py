@@ -14,7 +14,8 @@ from zetakit import evaluate
 from zetakit import (AccuracyError, ConditioningWarning, DomainError, PoleError,
                      SlowConvergenceError, StripError, airy_zeros, classify_poles,
                      contour_zeta, continued_zeta, euler_maclaurin_tail, hurwitz_model,
-                     model_from_spec, riemann_model, zeta_pos_int, zeta_series)
+                     log_coeffs, model_from_spec, riemann_model, zeta_int_leq_alpha,
+                     zeta_series)
 from zetakit.quadrature import TAIL_CIRCLE
 
 from conftest import CATALOG_SPECS, rel_err
@@ -32,7 +33,7 @@ class TestZetaSeries:
         assert abs(got - ref) < 1e-10
 
     def test_airy_eight_matches_recursion(self, airy):
-        ref = zeta_pos_int(airy.series, 8, airy.alpha, allow_extended=True)
+        ref = zeta_int_leq_alpha(airy.asym, log_coeffs(airy.series), 8)
         got = zeta_series(airy.zeros, 8.0, 2000)
         assert abs(got - ref) < 1e-12
 
@@ -53,6 +54,15 @@ class TestZetaSeries:
         got = zeta_series(hm.zeros, 4.0, 4000)
         ref = complex(mp.zeta(4, mp.mpf("-2.5")))
         assert abs(got - ref) < 1e-10
+
+    def test_sums_on_the_model_cut(self):
+        # hurwitz(-1.3) has two negative elements: the sum takes them on the
+        # model's cut 3 pi/4, as the contour routes do (2.9029 + 20.805i)
+        model = hurwitz_model(-1.3)
+        assert model.zeros.psi == model.asym.psi
+        got, want = zeta_series(model.zeros, 2.5, 200), continued_zeta(model, 2.5)
+        assert abs(got - want) <= 1e-10 * abs(want)
+        assert got.imag > 20.0
 
     def test_complex_sequence_branch(self):
         from zetakit import hurwitz_model
@@ -124,15 +134,20 @@ class TestSeriesMemo:
 
     @pytest.mark.parametrize("name", sorted(SEQUENCES))
     def test_same_bits_after_other_calls(self, name):
-        fresh = {psi: [zeta_series(SEQUENCES[name](), s, self.N, psi) for s in self.S]
-                 for psi in (math.pi, 2.0)}
-        used = SEQUENCES[name]()
-        used.values(2 * self.N)
-        for psi in (2.0, math.pi):
-            zeta_series(used, self.S[0], 2 * self.N, psi)
-            zeta_series(used, self.S[0], self.N // 2, psi)
-        for psi in (math.pi, 2.0):
-            assert [zeta_series(used, s, self.N, psi) for s in self.S] == fresh[psi]
+        # on the sequence's own cut and on another: a copy with its own psi
+        # builds its own memo and leaves the original's bits alone
+        for psi in (None, 2.0):
+            def fresh():
+                seq = SEQUENCES[name]()
+                return seq if psi is None else dataclasses.replace(seq, psi=psi)
+
+            want = [zeta_series(fresh(), s, self.N) for s in self.S]
+            used = fresh()
+            used.values(2 * self.N)
+            zeta_series(used, self.S[0], 2 * self.N)
+            zeta_series(dataclasses.replace(used, psi=math.pi), self.S[0], 2 * self.N)
+            zeta_series(used, self.S[0], self.N // 2)
+            assert [zeta_series(used, s, self.N) for s in self.S] == want, psi
 
     @pytest.mark.parametrize("name", ["airy", "hurwitz(0.4+0.7j)"])
     def test_work_done_once(self, monkeypatch, name):
@@ -193,7 +208,7 @@ class TestContourZeta:
         # at integer s only the circle term survives; the value must agree
         # with the recursion at quadrature tolerance
         got = contour_zeta(airy, 6.0, R=1.5)
-        ref = zeta_pos_int(airy.series, 6, airy.alpha, allow_extended=True)
+        ref = zeta_int_leq_alpha(airy.asym, log_coeffs(airy.series), 6)
         assert abs(got - ref) < 1e-10
 
     def test_noninteger_default_arguments(self, riemann, airy, hurwitz_quarter):
@@ -378,6 +393,17 @@ class TestZeroFreeCircle:
             for R in (0.5, 2.0, 0.99 * first):
                 assert inside(model, R) == 0
             assert inside(model, 1.01 * first) == 2
+
+
+    @pytest.mark.parametrize("R", [3.0, 1.0])
+    def test_circle_through_a_pole_refused(self, riemann, R):
+        # a sample sits on the pole of F'/F at z = R: the mean is huge at R = 3
+        # (read as -601243377843924 zeros) and NaN at R = 1, never a count
+        blind = dataclasses.replace(riemann, first_zero_modulus=None)
+        with pytest.raises(DomainError, match="did not settle"):
+            continued_zeta(blind, 0.5, R=R)
+        with pytest.raises(DomainError, match="did not settle"):
+            evaluate._zeros_inside(blind, R)
 
 
 def _counting(model):

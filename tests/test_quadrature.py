@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -476,8 +477,9 @@ class TestEndCorrections:
         # riemann, hurwitz(0.3) and hurwitz(-1.3) from every start N <= 10,
         # Re a_N < 1 included: within 1e-14 of mpmath.  The tail's estimate
         # refuses N < 10 here; zeta_series then sums directly to 2N - 1,
-        # 4N - 1, ... until it accepts
-        zeros = hurwitz_model(a).zeros
+        # 4N - 1, ... until it accepts.  mpmath takes the negative elements on
+        # the principal branch, so the sequence does too
+        zeros = dataclasses.replace(hurwitz_model(a).zeros, psi=math.pi)
         ref = complex(mp.zeta(s, a))
         for n_terms in range(10):
             assert abs(zeta_series(zeros, s, n_terms) - ref) <= 1e-14 * abs(ref), n_terms

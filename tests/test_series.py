@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetakit import (DomainError, NeedsContinuationError, PowerSeries,
-                     UnsupportedOrderError, exact_sum_rule, hadamardize,
-                     log_coeffs, zeta_pos_int, zeta_via_bell)
+from zetakit import (DomainError, PoleError, PowerSeries, UnsupportedOrderError,
+                     exact_sum_rule, hadamardize, log_coeffs, zeta_int_leq_alpha,
+                     zeta_via_bell)
 from zetakit.series import series_exp
 
 from conftest import rel_err
@@ -18,7 +18,7 @@ def one_minus_z(order=12):
     return PowerSeries(c)
 
 
-class TestLogCoeffs:
+class TestLogCoefficients:
     def test_geometric(self):
         b = log_coeffs(one_minus_z())
         for j in range(1, 13):
@@ -50,7 +50,7 @@ class TestLogCoeffs:
                 c[0] = (1.0 if cap < 1.0 else rng.uniform(0.5, 2.0)) \
                     * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 s = PowerSeries(c)
-                back = series_exp(log_coeffs(s).b)
+                back = series_exp(log_coeffs(s))
                 ref = c / c[0]
                 assert np.max(np.abs(back - ref)) < tol * max(1.0, np.max(np.abs(ref)))
 
@@ -66,38 +66,48 @@ class TestLogCoeffs:
             assert b[j] == c[j]
 
 
+def recursion(series, n):
+    """The sum rule's recursion value -n b_n, whatever the table's row at n."""
+    return -n * log_coeffs(series)[n]
+
+
 class TestZetaPosInt:
+    """zeta(n) = -n b_n where the table's row at n is empty (every n > alpha)."""
+
     def test_single_root(self):
         for n in (1, 2, 5):
-            assert zeta_pos_int(one_minus_z(), n, 0.0) == pytest.approx(1.0)
+            assert recursion(one_minus_z(), n) == pytest.approx(1.0)
 
     def test_riemann_two(self, riemann):
-        assert rel_err(zeta_pos_int(riemann.series, 2, 1.0), math.pi ** 2 / 6) < 1e-12
+        got = zeta_int_leq_alpha(riemann.asym, log_coeffs(riemann.series), 2)
+        assert rel_err(got, math.pi ** 2 / 6) < 1e-12
 
     def test_airy_two(self, airy):
         ref = complex(3 ** mp.mpf("2/3") * (mp.gamma(mp.mpf(2) / 3) / mp.gamma(mp.mpf(1) / 3)) ** 2)
-        got = zeta_pos_int(airy.series, 2, airy.alpha, allow_extended=True)
+        got = zeta_int_leq_alpha(airy.asym, log_coeffs(airy.series), 2)
         assert rel_err(got, ref) < 1e-12
         assert got == pytest.approx(0.5314572319609994, rel=1e-12)
+        assert got == recursion(airy.series, 2)
 
-    def test_guard_below_alpha(self, airy):
-        with pytest.raises(NeedsContinuationError):
-            zeta_pos_int(airy.series, 1, airy.alpha)
-        val = zeta_pos_int(airy.series, 1, airy.alpha, allow_extended=True)
+    def test_guard_below_alpha(self, airy, riemann):
+        # airy's row at 1 < alpha is empty: the value is -b_1 = -c_1/c_0
+        val = zeta_int_leq_alpha(airy.asym, log_coeffs(airy.series), 1)
+        assert val == recursion(airy.series, 1)
         assert rel_err(val, -complex(airy.series.coeffs[1] / airy.series.coeffs[0])) < 1e-15
+        # riemann's row at 1 is a pole, whatever -b_1 reads
+        with pytest.raises(PoleError):
+            zeta_int_leq_alpha(riemann.asym, log_coeffs(riemann.series), 1)
+        assert rel_err(recursion(riemann.series, 1), 0.5772156649015329) < 1e-14
 
     def test_scaling_invariance(self, airy):
         # power-of-two scaling cancels exactly in the c_j/c_0 divisions
         doubled = airy.series.scaled(2.0)
         for n in (2, 5, 9):
-            assert zeta_pos_int(doubled, n, 1.5, allow_extended=True) == \
-                zeta_pos_int(airy.series, n, 1.5, allow_extended=True)
+            assert recursion(doubled, n) == recursion(airy.series, n)
         # arbitrary complex scaling agrees to a few ulp
         scaled = airy.series.scaled(3.7 - 1.2j)
         for n in (2, 5, 9):
-            a = zeta_pos_int(scaled, n, 1.5, allow_extended=True)
-            b = zeta_pos_int(airy.series, n, 1.5, allow_extended=True)
-            assert rel_err(a, b) < 5e-15
+            assert rel_err(recursion(scaled, n), recursion(airy.series, n)) < 5e-15
 
 
 class TestBell:
@@ -119,10 +129,10 @@ class TestBell:
         assert rel_err(zeta_via_bell(airy.series, 4), ref) < 1e-12
 
     def test_matches_recursion_on_catalogs(self, riemann, airy, pcf_one, chf_half):
-        for model, alpha in ((riemann, 1.0), (airy, 1.5), (pcf_one, 2.0), (chf_half, 1.0)):
+        for model in (riemann, airy, pcf_one, chf_half):
             for n in range(1, 13):
                 bell = zeta_via_bell(model.series, n)
-                rec = zeta_pos_int(model.series, n, alpha, allow_extended=True)
+                rec = recursion(model.series, n)
                 assert abs(bell - rec) <= 1e-9 * max(1.0, abs(rec))
 
     def test_order_cap(self, riemann):
@@ -159,9 +169,9 @@ class TestExactSumRule:
         assert airy.series.coeffs[n] == 0.0
         zv = {1: -complex(airy.series.coeffs[1] / airy.series.coeffs[0])}
         for j in range(2, n):
-            zv[j] = zeta_pos_int(airy.series, j, airy.alpha, allow_extended=True)
+            zv[j] = recursion(airy.series, j)
         got = exact_sum_rule(airy.series, n, zv)
-        direct = zeta_pos_int(airy.series, n, airy.alpha, allow_extended=True)
+        direct = recursion(airy.series, n)
         assert rel_err(got, direct) < 1e-12
         # and the leading term really is (-1)^n z1^n / (n-1)!
         trimmed = exact_sum_rule(airy.series, n, {**zv, **{k: 0.0 for k in range(2, n)}})
@@ -227,8 +237,7 @@ class TestHadamardize:
     def test_preserves_zeta_above_alpha(self, airy):
         h = hadamardize(airy.series, airy.alpha)
         for n in range(2, 13):
-            a = zeta_pos_int(airy.series, n, airy.alpha, allow_extended=True)
-            bb = zeta_pos_int(h, n, airy.alpha, allow_extended=True)
+            a, bb = recursion(airy.series, n), recursion(h, n)
             assert abs(a - bb) <= 1e-10 * max(1.0, abs(a))
 
     def test_idempotent(self, pcf_one):
