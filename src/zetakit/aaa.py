@@ -6,7 +6,6 @@ linearized residual over the remaining points subject to a unit-norm
 constraint (smallest right singular vector of the Loewner matrix).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,22 +41,6 @@ class BarycentricModel:
 
     def __call__(self, s):
         return bary_eval(self, s)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "support": list(self.support),
-            "values": [{"re": v.real, "im": v.imag} for v in self.values],
-            "weights": [{"re": w.real, "im": w.imag} for w in self.weights],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "BarycentricModel":
-        doc = json.loads(text) if isinstance(text, str) else text
-        return BarycentricModel(
-            np.asarray(doc["support"], dtype=float),
-            np.asarray([complex(e["re"], e["im"]) for e in doc["values"]]),
-            np.asarray([complex(e["re"], e["im"]) for e in doc["weights"]]),
-        )
 
 
 def aaa_fit(points, samples, rel_tol: float = 1e-13,

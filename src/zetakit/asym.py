@@ -122,13 +122,6 @@ class AsymExpansion:
             delta=doc.get("delta"),
         )
 
-    def truncated(self, n_max: int) -> "AsymExpansion":
-        """Copy keeping only entries with j <= n_max."""
-        keep = {jk: v for jk, v in self.d.items() if jk[0] <= n_max}
-        return AsymExpansion(alpha=self.alpha, m=self.m, M=self.M,
-                             N=min(self.N, n_max), d=keep, psi=self.psi,
-                             ln_f0=self.ln_f0, delta=None)
-
 
 @dataclass(frozen=True)
 class PoleInfo:
@@ -208,12 +201,6 @@ def _laurent(asym: AsymExpansion, j: int):
     return x0, c
 
 
-def residue_at(asym: AsymExpansion, j: int) -> complex:
-    """Residue at s = alpha - j/m: c_{-1} of the row's ``_laurent``, 0 if regular."""
-    c = _laurent(asym, j)[1]
-    return c[1] if len(c) > 1 else 0j
-
-
 def _grid_point(asym: AsymExpansion, j: int):
     """What row j of the table gives at its location x0 = alpha - j/m.
 
@@ -244,14 +231,10 @@ def classify_poles(asym: AsymExpansion) -> PoleReport:
     return PoleReport(poles, zeta0, zeta0_is_pole, zp0)
 
 
-def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
-    """Derivative of the continued zeta function at s = 0 (M <= 1 only).
-
-    Default: i*pi*d_{j',1} + d_{j',0} - ln F(0) with (j') the grid index at
-    location 0, both coefficients read as 0 when absent.  With ``m_neg``
-    given (a real sequence bounded below with that many negative terms) the
-    real-sequence variant i*pi*m_neg + Re d_{j',0} - pi*Im d_{j',1} - ln|F(0)|
-    is returned instead.
+def zeta_prime_zero(asym: AsymExpansion) -> complex:
+    """Derivative of the continued zeta function at s = 0 (M <= 1 only):
+    i*pi*d_{j',1} + d_{j',0} - ln F(0) with (j') the grid index at location
+    0, both coefficients read as 0 when absent.
     """
     jz = asym.j_for_location(0.0)
     if asym.M > 1:
@@ -259,11 +242,7 @@ def zeta_prime_zero(asym: AsymExpansion, m_neg: int | None = None) -> complex:
         if isinstance(at0, PoleInfo):
             raise PoleError(at0.location, at0.order, at0.residue)
         raise DomainError("zeta'(0) from the table needs M <= 1")
-    d0, d1 = asym.entry(jz, 0), asym.entry(jz, 1)
-    if m_neg is None:
-        return 1j * math.pi * d1 + d0 - asym.ln_f0
-    return (1j * math.pi * m_neg + d0.real - math.pi * d1.imag
-            - asym.ln_f0.real)
+    return 1j * math.pi * asym.entry(jz, 1) + asym.entry(jz, 0) - asym.ln_f0
 
 
 def zeta_int_leq_alpha(asym: AsymExpansion, b: np.ndarray | None, n: int) -> complex:

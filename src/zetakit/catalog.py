@@ -293,7 +293,8 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     def eval_fn(z):
         return _recip_gamma_pair(a, z)
 
-    moduli = sorted(abs(a + k) for k in range(0, 64))
+    k = max(math.floor(-a.real), 0)           # the zeros a + k nearest 0 bracket -Re a
+    first_zero = min(abs(a + k), abs(a + k + 1))
     a_q = a.real if a.imag == 0.0 else a      # a real q stays a float array
     # the head is n - 1 + a, correctly rounded, up to n = 2|a - 1|, where
     # n (1 + (a - 1)/n) would cancel; past it the fill is within a few ulps
@@ -304,7 +305,7 @@ def _shifted_integers(a, order: int, depth: int) -> CatalogModel:
     if a.imag == 0.0 and a.real < 0.0:
         notes = (f"sequence has {-math.floor(a.real):.0f} negative elements", )
     return CatalogModel("hurwitz", {"a": a}, series, asym, zeros, eval_fn,
-                        log_deriv, moduli[0], {0: "1/2 - a"}, notes)
+                        log_deriv, first_zero, {0: "1/2 - a"}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +608,23 @@ def chf_model(a, b, depth: int = 8, order: int = 30) -> CatalogModel:
 
 # ---------------------------------------------------------------------------
 
+def _spec_param(spec: dict, key: str, kind=complex):
+    """spec[key] as a finite ``kind``, else a DomainError that names the key."""
+    try:
+        if cmath.isfinite(value := kind(spec[key])):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"parameter {key!r} must be a finite {kind.__name__}, not {spec[key]!r}")
+
+
 def model_from_spec(spec) -> CatalogModel:
-    """Build a model from a name+parameter JSON document (or dict)."""
+    """Build a model from a name+parameter JSON document (or dict); DomainError if malformed."""
     if isinstance(spec, str):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"model spec is not valid JSON: {exc}") from None
     name = spec.get("model")
     for key in {"hurwitz": ("a",), "pcf": ("a",), "chf": ("a", "b")}.get(name, ()):
         if key not in spec:
@@ -618,16 +632,19 @@ def model_from_spec(spec) -> CatalogModel:
     if name == "riemann":
         return riemann_model()
     if name == "hurwitz":
-        return hurwitz_model(spec["a"])
+        return hurwitz_model(_spec_param(spec, "a"))
     if name == "airy":
-        return airy_model(depth=int(spec.get("depth", 8)))
+        return airy_model(depth=_spec_param(spec, "depth", int) if "depth" in spec else 8)
     if name == "pcf":
-        return pcf_model(spec["a"])
+        return pcf_model(_spec_param(spec, "a", float))
     if name == "chf":
-        return chf_model(spec["a"], spec["b"])
+        return chf_model(_spec_param(spec, "a"), _spec_param(spec, "b"))
     if name == "user":
-        series = PowerSeries(np.asarray(
-            [complex(e["re"], e.get("im", 0.0)) for e in spec["series"]["coeffs"]]))
-        asym = AsymExpansion.from_json(spec["asym"])
+        try:
+            series = PowerSeries(np.asarray(
+                [complex(e["re"], e.get("im", 0.0)) for e in spec["series"]["coeffs"]]))
+            asym = AsymExpansion.from_json(spec["asym"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DomainError(f"model 'user': missing or malformed field ({exc!r})") from None
         return CatalogModel("user", {}, series, asym)
     raise DomainError(f"unknown model name: {name!r}")

@@ -6,10 +6,10 @@ but aaa and catalog accepts --check to re-derive the result along an
 independent route and report the discrepancy.  The numeric options are
 declared only where they are read, so any other use is a usage error:
 --R, --tmax and --tol on values, series, contour and continue; --tol (the
-AAA tolerance) on aaa.  An undeclared flag or a malformed number is
-reported with the usage line of its subcommand.  Direct sums take
-a_n^(-s) on the cut the sequence carries, its model's ray psi, the branch
-of the contour routes.
+AAA tolerance) on aaa.  An undeclared flag, a malformed or non-finite
+number, and an empty range of --n are reported with the usage line of
+its subcommand.  Direct sums take a_n^(-s) on the cut the sequence
+carries, its model's ray psi, the branch of the contour routes.
 ``poles --check`` reads each residue off the pole's own row of the table
 (``asym.row_term``) by the 16-point trapezoid rule on |s - x0| = 0.1/m.
 """
@@ -28,7 +28,7 @@ from .catalog import hurwitz_model, ln_gamma_continued, model_from_spec
 from .errors import DomainError, PoleError, ZetakitError
 from .evaluate import contour_zeta, continued_zeta, zeta_series
 from .series import log_coeffs, zeta_via_bell
-from .shift import ShiftParams, shifted_values
+from .shift import shifted_values
 
 _MODELS = ("riemann", "hurwitz", "airy", "pcf", "chf")
 
@@ -46,29 +46,37 @@ def _cjson(x):
 
 
 def _cnum(text: str) -> complex:
-    """A complex number, i or j for the unit.  Like ``_param`` and
-    ``_parse_n_range`` an argparse type: a malformed value is a usage error."""
+    """A finite complex number, i or j for the unit.  Like ``_real``, ``_param`` and
+    ``_parse_n_range`` an argparse type: malformed, non-finite or empty is a usage error."""
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        if cmath.isfinite(value := complex(text.replace(" ", "").replace("i", "j"))):
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
 def _param(text: str):
     """A model parameter: a float when real, else a complex number."""
-    try:
-        return float(text)
-    except ValueError:
-        return _cnum(text)
+    value = _cnum(text)
+    return value.real if value.imag == 0 else value
+
+
+def _real(text: str) -> float:
+    """A finite real number: --R, --tmax and --tol."""
+    if isinstance(value := _param(text), complex):
+        raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+    return value
 
 
 def _parse_n_range(text: str) -> list:
     lo, _, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi or lo) + 1))
+        if n := list(range(int(lo), int(hi or lo) + 1)):
+            return n
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not an integer or a range lo..hi: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer or a range lo..hi, lo <= hi: {text!r}")
 
 
 def _build_model(args):
@@ -191,20 +199,14 @@ def cmd_poles(args) -> int:
     return 0
 
 
-def _shifted_a(model, shift) -> complex:
-    """a + B/A for the shifted integers: A (n + a) + B = A (n + a + B/A), a = 1 for riemann."""
-    return model.params.get("a", 1.0) + shift.mu
-
-
-def _shift_check(model, shift, rep) -> float:
+def _shift_check(A, a_shift, rep) -> float:
     """Largest gap between the shifted report and hurwitz_model(a + B/A).
 
     zeta(s) = A^(-s) zeta_H(s, a + B/A), so zeta'(0) = zeta_H'(0) - ln A zeta_H(0):
     the reference table is built in closed form, without ``omega_table``.
     """
-    ref = hurwitz_model(_shifted_a(model, shift))
+    ref = hurwitz_model(a_shift)
     base = classify_poles(ref.asym)
-    A = shift.A
     gaps = [abs(rep.report.zeta0 - base.zeta0),
             abs(rep.report.zeta_prime0 - (base.zeta_prime0 - base.zeta0 * cmath.log(A))),
             abs(rep.report.pole_at(1.0).residue - base.pole_at(1.0).residue / A)]
@@ -218,11 +220,14 @@ def cmd_shift(args) -> int:
     if args.check and model.name not in ("riemann", "hurwitz"):
         raise ZetakitError(f"shift --check has an independent route only for the shifted "
                            f"integers (riemann, hurwitz), not {model.name!r}")
-    shift = ShiftParams(args.A, args.B)
+    A, B = args.A, args.B
+    if A == 0:
+        raise DomainError("A must be nonzero")
     ln_f_shift = None
     branch_note = None
     if model.name in ("riemann", "hurwitz"):
-        a_shift = _shifted_a(model, shift)
+        # A (n + a) + B = A (n + a + B/A), a = 1 for riemann
+        a_shift = model.params.get("a", 1.0) + B / A
         try:
             ln_f_shift = -ln_gamma_continued(a_shift)
         except DomainError:
@@ -230,26 +235,26 @@ def cmd_shift(args) -> int:
                               "the sequence contains 0") from None
     elif model.eval is not None:
         try:
-            f_val, _ = model.eval(-shift.mu)
+            f_val, _ = model.eval(-B / A)
             ln_f_shift = complex(np.log(complex(f_val)))
             branch_note = ("ln F(-B/A) taken on the principal branch; "
                            "zeta'(0) is determined up to the branch choice")
         except ZetakitError:
             branch_note = ("evaluator cannot reach -B/A; zeta'(0) omitted")
-    rep = shifted_values(model.asym, shift, ln_f_shifted=ln_f_shift,
+    rep = shifted_values(model.asym, A, B, ln_f_shifted=ln_f_shift,
                          n_values=[n for n in range(-6, 0)])
     entries = [{"location": p.location, "order": p.order, "residue": _cjson(p.residue)}
                for p in rep.report.poles]
     doc = {"command": "shift", "model": model.name, "params": _params_doc(model),
-           "A": _cjson(shift.A), "B": _cjson(shift.B),
+           "A": _cjson(A), "B": _cjson(B),
            "poles": entries,
            "zeta0": _cjson(rep.report.zeta0),
            "zeta_prime0": _cjson(rep.report.zeta_prime0),
            "values": {str(n): _cjson(v) for n, v in sorted(rep.values.items())},
            "flags": list(rep.flags) + ([branch_note] if branch_note else [])}
     if args.check:
-        doc["check_discrepancy"] = _shift_check(model, shift, rep)
-    lines = [f"transformed sequence A*a_n + B with A={_fmt(shift.A)}, B={_fmt(shift.B)}"]
+        doc["check_discrepancy"] = _shift_check(A, a_shift, rep)
+    lines = [f"transformed sequence A*a_n + B with A={_fmt(A)}, B={_fmt(B)}"]
     for p in rep.report.poles:
         lines.append(f"pole at s = {p.location:g}, order {p.order}, "
                      f"residue {_fmt(p.residue)}")
@@ -374,7 +379,7 @@ def _add_common(p, *numeric, check=True, with_s=False):
         p.add_argument("--check", action="store_true",
                        help="re-derive through an independent route")
     for name in numeric:
-        p.add_argument(f"--{name}", type=float, default=None, help=_NUMERIC_FLAGS[name])
+        p.add_argument(f"--{name}", type=_real, default=None, help=_NUMERIC_FLAGS[name])
     if with_s:
         p.add_argument("--s", type=_cnum, required=True, help="evaluation point (complex ok)")
 

@@ -115,7 +115,7 @@ def _default_radius(model: CatalogModel, R):
     return 0.85 * model.first_zero_modulus
 
 
-def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
+def _ray_representation(model: CatalogModel, s: complex, R, t_max: float,
                         quad_tol, continued: bool) -> complex:
     """circle(R) + L_asy(a) + pref * int_R^T t^(-s) (e^{i psi} F'/F - [t >= a] D(t)) dt.
 
@@ -131,6 +131,7 @@ def _ray_representation(model: CatalogModel, asym, s: complex, R, t_max: float,
     prefactor ``ray_prefactor`` is 0 (at exact integers) the ray is skipped
     and a = max(R, 1).
     """
+    asym = model.asym
     tol = _DEFAULT_QUAD_TOL if quad_tol is None else float(quad_tol)
     R = _default_radius(model, R)
     split, ray = max(R, 1.0), 0.0
@@ -190,25 +191,21 @@ def contour_zeta(model: CatalogModel, s, R: float | None = None,
     s = complex(s)
     if s.real <= model.asym.alpha:
         raise DomainError("contour representation needs Re s > alpha")
-    return _ray_representation(model, model.asym, s, R, t_max, quad_tol, continued=False)
+    return _ray_representation(model, s, R, t_max, quad_tol, continued=False)
 
 
 def continued_zeta(model: CatalogModel, s, R: float | None = None,
-                   t_max: float = 400.0, quad_tol: float | None = None,
-                   depth: int | None = None) -> complex:
+                   t_max: float = 400.0, quad_tol: float | None = None) -> complex:
     """Analytically continued representation Z_N + L_asy + Q.
 
-    Valid in the strip Re(s) > alpha - N/m - delta.  ``depth`` optionally
-    truncates the subtraction table (the same truncation is used in the
-    closed-form block, so the identity is preserved).  At a pole of the
-    table ``l_asy_eval`` raises ``PoleError``, and within 1e-3 of one it
-    warns.
+    Valid in the strip Re(s) > alpha - N/m - delta of the model's table,
+    which its builder's ``depth`` sets.  At a pole of the table
+    ``l_asy_eval`` raises ``PoleError``, and within 1e-3 of one it warns.
     """
     _require_eval(model)
     s = complex(s)
-    asym = model.asym if depth is None else model.asym.truncated(depth)
-    if s.real <= asym.strip_left_edge():
-        raise StripError(
-            f"Re s = {s.real} is left of the strip edge {asym.strip_left_edge():.3f}; "
-            "increase the model depth")
-    return _ray_representation(model, asym, s, R, t_max, quad_tol, continued=True)
+    edge = model.asym.strip_left_edge()
+    if s.real <= edge:
+        raise StripError(f"Re s = {s.real} is left of the strip edge {edge:.3f}; "
+                         "increase the model depth")
+    return _ray_representation(model, s, R, t_max, quad_tol, continued=True)

@@ -202,16 +202,6 @@ def bernoulli_poly_row(a, n_max: int) -> np.ndarray:
     return row
 
 
-def bernoulli_poly(n: int, a) -> complex:
-    """Bernoulli polynomial B_n(a), the last entry of ``bernoulli_poly_row``."""
-    return complex(bernoulli_poly_row(a, n)[-1])
-
-
-def log_psi(z, psi: float) -> complex:
-    """One-point case of ``log_psi_array``."""
-    return complex(log_psi_array(np.asarray(z, dtype=complex), psi))
-
-
 def log_psi_array(z, psi: float):
     """Branched logarithm with the cut on the ray arg = psi, on an array.
 

@@ -22,36 +22,9 @@ from .series import series_mul
 _CANCEL_FLAG = 1e-10
 
 
-@dataclass(frozen=True)
-class ShiftParams:
-    """Transformation lambda_n = A a_n + B; mu = B/A is the pure shift."""
-
-    A: complex
-    B: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", complex(self.A))
-        object.__setattr__(self, "B", complex(self.B))
-        if self.A == 0:
-            raise DomainError("A must be nonzero")
-
-    @property
-    def mu(self) -> complex:
-        return self.B / self.A
-
-    def to_json_dict(self) -> dict:
-        return {"A": {"re": self.A.real, "im": self.A.imag},
-                "B": {"re": self.B.real, "im": self.B.imag}}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ShiftParams":
-        return ShiftParams(complex(doc["A"]["re"], doc["A"]["im"]),
-                           complex(doc["B"]["re"], doc["B"]["im"]))
-
-
-def omega_table(asym: AsymExpansion, shift: ShiftParams,
+def omega_table(asym: AsymExpansion, A: complex, B: complex,
                 ln_f_shifted: complex | None = None) -> AsymExpansion:
-    """Asymptotic table of ln F(z - B/A) from the table of ln F(z).
+    """Asymptotic table of ln F(z - B/A) from the table of ln F(z), A != 0.
 
     With u = 1/z and x = alpha - j0/m, each source term re-expands as
     d_{j0,k} z^x (1 - mu u)^x (ln z + ln(1 - mu u))^k, a product of two
@@ -62,7 +35,10 @@ def omega_table(asym: AsymExpansion, shift: ShiftParams,
     the sector-continued ln F(-B/A) and replaces the stored boundary value
     (kept unchanged when omitted, which is only correct for B = 0).
     """
-    mu = shift.mu
+    A, B = complex(A), complex(B)
+    if A == 0:
+        raise DomainError("A must be nonzero")
+    mu = B / A
     m, M, N = asym.m, asym.M, asym.N
     p_max = N // m
     mu_pow = mu ** np.arange(p_max + 1)
@@ -80,7 +56,7 @@ def omega_table(asym: AsymExpansion, shift: ShiftParams,
     ln_f0 = asym.ln_f0 if ln_f_shifted is None else complex(ln_f_shifted)
     return AsymExpansion(alpha=asym.alpha, m=m, M=M, N=N,
                          d={jk: v for jk, v in np.ndenumerate(omega) if v != 0},
-                         psi=asym.psi + cmath.phase(shift.A), ln_f0=ln_f0,
+                         psi=asym.psi + cmath.phase(A), ln_f0=ln_f0,
                          delta=asym.delta)
 
 
@@ -94,7 +70,7 @@ class ShiftedReport:
     flags: tuple = ()
 
 
-def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
+def shifted_values(asym: AsymExpansion, A: complex, B: complex, n_values=(),
                    ln_f_shifted: complex | None = None) -> ShiftedReport:
     """Pole structure and special values of zeta_{S_{A,B}} = A^(-s) zeta_Omega.
 
@@ -109,9 +85,9 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
     digits may have cancelled; smaller entries are exact zeros to every
     table reader.
     """
-    om = omega_table(asym, shift, ln_f_shifted=ln_f_shifted)
+    om = omega_table(asym, A, B, ln_f_shifted=ln_f_shifted)
     base = classify_poles(om)
-    A = shift.A
+    A = complex(A)
     ln_a = cmath.log(A)
     poles = []
     flags = []
@@ -123,7 +99,7 @@ def shifted_values(asym: AsymExpansion, shift: ShiftParams, n_values=(),
         if _ZERO_THRESHOLD < abs(v) < _CANCEL_FLAG:
             flags.append(f"possible cancellation in Omega[{j},{k}] = {abs(v):.2e}")
     zeta_prime0 = None
-    if base.zeta_prime0 is not None and (ln_f_shifted is not None or shift.B == 0):
+    if base.zeta_prime0 is not None and (ln_f_shifted is not None or B == 0):
         zeta_prime0 = base.zeta_prime0 - base.zeta0 * ln_a
     report = PoleReport(tuple(poles), base.zeta0, base.zeta0_is_pole, zeta_prime0)
     values = {}

@@ -156,14 +156,6 @@ class TestEval:
         assert got[3] == bary_eval(model, 2.0)
         assert abs(got[3] - 2.5 / 1.5) <= 1e-15
 
-    def test_json_roundtrip(self, airy_fit):
-        _, _, model = airy_fit
-        back = BarycentricModel.from_json(model.to_json())
-        assert np.array_equal(back.support, model.support)
-        assert np.array_equal(back.values, model.values)
-        assert np.array_equal(back.weights, model.weights)
-        assert back(3.3) == model(3.3)
-
 
 class TestFeatures:
     def test_airy_zero_and_pole_windows(self, airy_fit):

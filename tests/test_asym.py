@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from zetakit import (AsymExpansion, ConditioningWarning, DomainError, PoleError,
-                     ShiftParams, StripError, classify_poles, gamma, hurwitz_model,
-                     l_asy_eval, log_coeffs, log_compose, omega_table,
-                     residue_at, zeta_int_leq_alpha, zeta_prime_zero)
+                     StripError, classify_poles, gamma, hurwitz_model, l_asy_eval,
+                     log_coeffs, log_compose, omega_table, zeta_int_leq_alpha,
+                     zeta_prime_zero)
 from zetakit.asym import _laurent
 
 from conftest import rel_err
@@ -126,24 +126,23 @@ class TestClassifyPoles:
 
 class TestResidues:
     def test_airy_rightmost(self, airy):
-        j = airy.asym.j_for_location(1.5)
-        assert rel_err(residue_at(airy.asym, j), 1.0 / math.pi) < 1e-14
+        pole = classify_poles(airy.asym).pole_at(1.5)
+        assert rel_err(pole.residue, 1.0 / math.pi) < 1e-14
 
     def test_airy_odd_tail(self, airy):
         # residue at -3/2 - 3n equals p_{2n+1} (3/2 + 3n) / (i pi)
         for n in (0, 1):
-            loc = -1.5 - 3.0 * n
-            j = airy.asym.j_for_location(loc)
+            pole = classify_poles(airy.asym).pole_at(-1.5 - 3.0 * n)
             p_coeff = airy.asym.entry(6 * n + 6, 0)
             ref = p_coeff * (1.5 + 3.0 * n) / (1j * math.pi)
-            assert rel_err(residue_at(airy.asym, j), ref) < 1e-14
+            assert rel_err(pole.residue, ref) < 1e-14
 
     def test_absent_entry_is_zero(self, airy):
-        j = airy.asym.j_for_location(0.5)  # j = 2: no entries there
-        assert residue_at(airy.asym, j) == 0.0
+        assert airy.asym.max_log_power(airy.asym.j_for_location(0.5)) is None  # j = 2
+        assert classify_poles(airy.asym).pole_at(0.5) is None
 
     def test_riemann_pole_at_one(self, riemann):
-        assert residue_at(riemann.asym, 0) == pytest.approx(1.0, abs=1e-15)
+        assert classify_poles(riemann.asym).pole_at(1.0).residue == pytest.approx(1.0, abs=1e-15)
 
     # the steps sit within 1e-3 of each pole, where l_asy_eval warns
     @pytest.mark.filterwarnings("ignore::zetakit.errors.ConditioningWarning")
@@ -181,12 +180,6 @@ class TestZetaPrimeZero:
         ref = complex(mp.log(3 ** mp.mpf("2/3") * mp.gamma(mp.mpf(2) / 3)
                              / (2 * mp.sqrt(mp.pi))))
         assert rel_err(zeta_prime_zero(airy.asym), ref) < 1e-12
-        assert rel_err(zeta_prime_zero(airy.asym, m_neg=0), ref) < 1e-12
-
-    def test_real_sequence_variant_counts_negatives(self, riemann):
-        v0 = zeta_prime_zero(riemann.asym, m_neg=0)
-        v3 = zeta_prime_zero(riemann.asym, m_neg=3)
-        assert v3 - v0 == pytest.approx(3j * math.pi)
 
     def test_no_grid_point_at_zero(self):
         a = _synthetic({(0, 0): 2.0}, alpha=0.5, N=3, ln_f0=0.7 + 0.1j)
@@ -324,7 +317,7 @@ class TestOneGridRule:
         # entries where B_j(1/2) = 0; both readers take them as 0
         source = hurwitz_model(0.3).asym
         self._same_integer_values(source)
-        omega = omega_table(source, ShiftParams(1.0, 0.2))
+        omega = omega_table(source, 1.0, 0.2)
         self._same_integer_values(omega)
         assert [zeta_int_leq_alpha(omega, None, n) for n in (-2, -4, -6)] == [0, 0, 0]
 

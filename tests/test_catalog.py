@@ -12,7 +12,7 @@ from zetakit import (AccuracyError, DomainError, EULER_GAMMA, airy_model, airy_z
                      zeta_series)
 from zetakit.catalog import ZeroSequence, _airy_head, airy_eval, airy_zero_q
 from zetakit.quadrature import TAIL_CIRCLE
-from zetakit.shift import ShiftParams, omega_table
+from zetakit.shift import omega_table
 
 from conftest import ln_f_on_ray, rel_err
 
@@ -66,7 +66,7 @@ class TestHurwitzModel:
 
     def test_zero_shift_keeps_riemann_table(self):
         base = riemann_model().asym
-        assert omega_table(base, ShiftParams(1.0, 0.0)).d == base.d
+        assert omega_table(base, 1.0, 0.0).d == base.d
 
     @pytest.mark.parametrize("a", PARAMS)
     def test_asym_against_mpmath_closed_form(self, a):
@@ -100,7 +100,7 @@ class TestHurwitzModel:
     @pytest.mark.parametrize("a", PARAMS)
     def test_omega_table_reproduces_closed_form(self, riemann, a):
         # the independent oracle of the general re-expansion behind ``shift``
-        got = omega_table(riemann.asym, ShiftParams(1.0, complex(a) - 1.0))
+        got = omega_table(riemann.asym, 1.0, complex(a) - 1.0)
         want = hurwitz_model(a).asym
         for j in range(15):
             for k in (0, 1):
@@ -622,6 +622,18 @@ class TestModelFromSpec:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             model_from_spec({"model": "bessel"})
+
+    MALFORMED = [('{bad', "not valid JSON"),
+                 ('{"model": "airy", "depth": "x"}', "'depth'"),
+                 ('{"model": "hurwitz", "a": "x"}', "'a'"),
+                 ('{"model": "hurwitz", "a": NaN}', "'a'"),
+                 ('{"model": "user"}', "'series'"),
+                 ('{"model": "pcf", "a": null}', "'a'")]
+
+    @pytest.mark.parametrize("spec, field", MALFORMED)
+    def test_malformed_spec_names_the_field(self, spec, field):
+        with pytest.raises(DomainError, match=field):
+            model_from_spec(spec)
 
     def test_missing_parameter_rejected(self):
         for spec, key in (({"model": "hurwitz"}, "a"), ({"model": "pcf"}, "a"),

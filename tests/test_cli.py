@@ -4,7 +4,8 @@ import math
 import mpmath as mp
 import pytest
 
-from zetakit import AsymExpansion, classify_poles, cli, log_coeffs, zeta_int_leq_alpha
+from zetakit import (AsymExpansion, bernoulli_poly_row, classify_poles, cli, log_coeffs,
+                     zeta_int_leq_alpha)
 from zetakit.catalog import RIEMANN_PSI
 from zetakit.cli import build_parser, main
 
@@ -144,6 +145,14 @@ class TestPoles:
         assert first["residue"]["re"] == pytest.approx(1 / math.pi, rel=1e-12)
         assert doc["zeta0"]["re"] == pytest.approx(-0.25)
 
+    @pytest.mark.parametrize("spec", [
+        '{bad', '{"model": "airy", "depth": "x"}', '{"model": "hurwitz", "a": "x"}',
+        '{"model": "hurwitz", "a": NaN}', '{"model": "user"}', '{"model": "pcf", "a": null}'])
+    def test_malformed_inline_spec_is_an_error_line(self, capsys, spec):
+        code, out, err = run(capsys, "poles", "--model", spec)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_check_flag(self, capsys):
         code, doc, _ = run_json(capsys, "poles", "--model", "riemann", "--check")
         assert code == 0
@@ -183,10 +192,10 @@ class TestShift:
         assert doc["zeta0"]["re"] == pytest.approx(0.25)
         ref = -0.5 * math.log(2 * math.pi) + math.lgamma(0.25)
         assert doc["zeta_prime0"]["re"] == pytest.approx(ref, rel=1e-10)
-        from zetakit import bernoulli_poly
+        bern = bernoulli_poly_row(0.25, 7)
         for n in range(1, 7):
             got = doc["values"][str(-n)]["re"]
-            ref_n = -bernoulli_poly(n + 1, 0.25).real / (n + 1)
+            ref_n = -bern[n + 1].real / (n + 1)
             assert got == pytest.approx(ref_n, rel=1e-9, abs=1e-12)
         assert doc["poles"][0]["location"] == pytest.approx(1.0)
 
@@ -441,6 +450,23 @@ class TestFlags:
         ("continue", "--model", "chf", "--a", "0.5", "--b", "1..5", "--s", "2"),
         ("shift", "--model", "riemann", "--A", "2", "--B", "half")])
     def test_malformed_number_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: zetakit {argv[0]} ") and "Traceback" not in err
+        assert f"zetakit {argv[0]}: error: argument --" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("values", "--model", "hurwitz", "--a", "nan", "--n", "0"),
+        ("values", "--model", "hurwitz", "--a", "inf", "--n", "0"),
+        ("continue", "--model", "riemann", "--s", "nan"),
+        ("continue", "--model", "chf", "--a", "0.5", "--b", "nan", "--s", "2"),
+        ("shift", "--model", "riemann", "--A", "2", "--B", "nan+1i"),
+        ("continue", "--model", "riemann", "--s", "0.5", "--tol", "nan"),
+        ("contour", "--model", "riemann", "--s", "2", "--tmax", "inf"),
+        ("values", "--model", "riemann", "--n=5..3")])
+    def test_non_finite_number_or_empty_range_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2

@@ -12,7 +12,7 @@ import zetakit.asym
 import zetakit.catalog
 from zetakit import evaluate
 from zetakit import (AccuracyError, ConditioningWarning, DomainError, PoleError,
-                     SlowConvergenceError, StripError, airy_zeros, classify_poles,
+                     SlowConvergenceError, StripError, airy_model, airy_zeros, classify_poles,
                      contour_zeta, continued_zeta, euler_maclaurin_tail, hurwitz_model,
                      log_coeffs, model_from_spec, riemann_model, zeta_int_leq_alpha,
                      zeta_series)
@@ -313,8 +313,9 @@ class TestContinuedZeta:
             continued_zeta(airy, -30.0)
 
     def test_depth_trim_consistency(self, airy):
+        # depth 2 keeps the rows j <= 9 of the default table, entry for entry
         full = continued_zeta(airy, -0.5)
-        trimmed = continued_zeta(airy, -0.5, depth=9)
+        trimmed = continued_zeta(airy_model(depth=2), -0.5)
         assert abs(full - trimmed) < 1e-7
 
     def test_quad_tol_override(self, airy):
@@ -404,6 +405,15 @@ class TestZeroFreeCircle:
             continued_zeta(blind, 0.5, R=R)
         with pytest.raises(DomainError, match="did not settle"):
             evaluate._zeros_inside(blind, R)
+
+    @pytest.mark.parametrize("a", [-100.5, -70.3, -63.7])
+    def test_hurwitz_default_circle_far_left(self, a):
+        # the zeros a + k nearest 0 lie past k = 63; a radius read off k < 64
+        # alone enclosed 64, 12 and 1 of them (0.00368 + 0.00303i at -100.5)
+        model = hurwitz_model(a)
+        assert evaluate._zeros_inside(model, 0.85 * model.first_zero_modulus) == 0
+        want = zeta_series(model.zeros, 2.5, 0)
+        assert rel_err(contour_zeta(model, 2.5), want) < 1e-12
 
 
 def _counting(model):
